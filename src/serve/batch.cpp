@@ -18,12 +18,18 @@ BatchCompiler::BatchCompiler(const dram::VendorProfile* profile,
   table_ = verify::RuleTable::ddr4(profile_->timings);
 }
 
+std::string BatchCompiler::validate_slot(const Request& request) const {
+  const auto& geom = profile_->geometry;
+  if (request.bank >= geom.banks) return "bank out of range";
+  if (request.sa >= geom.subarrays_per_bank()) return "subarray out of range";
+  return {};
+}
+
 std::string BatchCompiler::validate(const Request& request,
                                     const pud::RowGroup& group) const {
   const auto& geom = profile_->geometry;
   const std::size_t rows = layout_->rows();
-  if (request.bank >= geom.banks) return "bank out of range";
-  if (request.sa >= geom.subarrays_per_bank()) return "subarray out of range";
+  if (std::string why = validate_slot(request); !why.empty()) return why;
   for (const BitVec& operand : request.operands)
     if (operand.size() != geom.columns)
       return "operand width does not match the row width";

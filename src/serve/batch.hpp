@@ -63,6 +63,11 @@ class BatchCompiler {
   std::string validate(const Request& request,
                        const pud::RowGroup& group) const;
 
+  /// The (bank, subarray) part of `validate`, which needs no group: check
+  /// it before steering a group for the slot, since steering runs trials
+  /// on the chip at that address.
+  std::string validate_slot(const Request& request) const;
+
   /// Compiles one request. `group` is the shard's reliability-steered
   /// activation group for (bank, sa). Throws std::invalid_argument on
   /// requests `validate` would reject.

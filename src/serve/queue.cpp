@@ -58,6 +58,12 @@ bool SubmissionQueue::try_pop(Submission& out) {
   }
 }
 
+bool SubmissionQueue::empty() const noexcept {
+  const std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
+  return cells_[pos & mask_].sequence.load(std::memory_order_acquire) !=
+         pos + 1;
+}
+
 std::size_t SubmissionQueue::approx_size() const noexcept {
   const std::uint64_t tail = enqueue_pos_.load(std::memory_order_relaxed);
   const std::uint64_t head = dequeue_pos_.load(std::memory_order_relaxed);

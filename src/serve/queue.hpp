@@ -34,6 +34,11 @@ class SubmissionQueue {
   /// False when the ring is empty.
   bool try_pop(Submission& out);
 
+  /// True when the next try_pop would fail: nothing is published at the
+  /// head (a push that claimed the head but has not published it yet
+  /// counts as empty). Consumer side only.
+  bool empty() const noexcept;
+
   std::size_t capacity() const noexcept { return mask_ + 1; }
 
   /// Racy size estimate for the queue-depth gauge.

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -68,8 +67,14 @@ struct Response {
 };
 
 /// One-shot completion slot the client polls or blocks on. The service
-/// delivers exactly once; `wait()` spins briefly then yields, which is
-/// cheap at the sub-millisecond service times the simulated fleet has.
+/// delivers exactly once. `wait()` blocks on the ready flag
+/// (`std::atomic::wait`), so a waiting client takes no CPU from the
+/// service's threads; `deliver()` notifies, which libstdc++ turns into a
+/// futex wake only when a waiter is registered, so a client that polls
+/// `ready()` and calls `wait()` only once it is ready pays nothing. The
+/// notify keys on the flag's address in libstdc++'s own waiter table and
+/// does not touch the ticket, so a polling client may drop the ticket as
+/// soon as `ready()` holds.
 class Ticket {
  public:
   bool ready() const noexcept {
@@ -78,8 +83,7 @@ class Ticket {
 
   /// Blocks until delivery, then returns the response (moved out).
   Response wait() {
-    for (unsigned spins = 0; !ready(); ++spins)
-      if (spins > 64) std::this_thread::yield();
+    ready_.wait(false, std::memory_order_acquire);
     return std::move(response_);
   }
 
@@ -87,6 +91,7 @@ class Ticket {
   void deliver(Response response) {
     response_ = std::move(response);
     ready_.store(true, std::memory_order_release);
+    ready_.notify_one();
   }
 
  private:

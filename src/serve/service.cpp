@@ -1,10 +1,11 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/env.hpp"
 #include "obs/metrics.hpp"
@@ -76,6 +77,17 @@ struct ServeMetrics {
     return metrics;
   }
 };
+
+/// The message of a captured exception, for a response or a log line.
+std::string error_text(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown error";
+  }
+}
 
 }  // namespace
 
@@ -173,7 +185,13 @@ Service::Service(ServiceConfig config)
   field("snapshot.every", slo.snapshot ? slo.snapshot_every : 0);
 }
 
-Service::~Service() { stop(); }
+Service::~Service() {
+  // A destructor cannot rethrow; a scheduler error nobody collected with
+  // stop() is reported instead of dropped.
+  if (const std::exception_ptr error = halt())
+    std::fprintf(stderr, "serve: scheduler stopped on an error: %s\n",
+                 error_text(error).c_str());
+}
 
 bool Service::submit(Request request, Ticket* ticket) {
   stats_.submitted.fetch_add(1, std::memory_order_relaxed);
@@ -205,12 +223,33 @@ bool Service::submit(Request request, Ticket* ticket) {
     return false;
   }
   stats_.admitted.fetch_add(1, std::memory_order_relaxed);
+  // Pairs with the fence in park(): either this load sees the scheduler
+  // parked, or the scheduler's emptiness check sees this push.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_relaxed)) unpark();
   return true;
 }
 
 void Service::deliver(const BatchItem& item, Response response) {
   admission_.release(item.request.tenant);
   if (item.ticket) item.ticket->deliver(std::move(response));
+}
+
+void Service::fail(const BatchItem& item, const std::string& error) {
+  Response response;
+  response.id = item.request.id;
+  response.status = Status::kFailed;
+  response.error = error;
+  stats_.failed += 1;
+  ServeMetrics::instance().failed.add_count(1);
+  obs::SloRegistry::instance().observe_delivery(
+      item.request.tenant, item.request.id, 0.0, obs::SloOutcome::kFailed,
+      false);
+  obs::emit_event("serve.request.failed",
+                  {{"request", std::to_string(item.request.id)},
+                   {"tenant", std::to_string(item.request.tenant)},
+                   {"error", error}});
+  deliver(item, std::move(response));
 }
 
 void Service::record_batch_metrics(const BatchOutcome& outcome,
@@ -263,19 +302,7 @@ std::size_t Service::pump() {
   std::vector<std::vector<BatchItem>> per_shard(shards_.size());
   for (BatchItem& item : pending) {
     if (healthy.empty()) {
-      Response response;
-      response.id = item.request.id;
-      response.status = Status::kFailed;
-      response.error = "no healthy shards";
-      stats_.failed += 1;
-      m.failed.add_count(1);
-      slo.observe_delivery(item.request.tenant, item.request.id, 0.0,
-                           obs::SloOutcome::kFailed, false);
-      obs::emit_event("serve.request.failed",
-                      {{"request", std::to_string(item.request.id)},
-                       {"tenant", std::to_string(item.request.tenant)},
-                       {"error", "no healthy shards"}});
-      deliver(item, std::move(response));
+      fail(item, "no healthy shards");
       ++delivered;
       continue;
     }
@@ -321,26 +348,50 @@ std::size_t Service::pump() {
                        return da < db;
                      });
 
-  // Dispatch: one pool task per shard; a shard executes its batches
-  // sequentially (its chip is stateful), shards run concurrently.
+  // Dispatch: a shard executes its batches sequentially (its chip is
+  // stateful), shards run concurrently. This thread runs the last busy
+  // shard itself and the pool the others, which saves one hand-off per
+  // round; a round with one busy shard never touches the pool. Which
+  // thread runs a shard changes nothing else: routing, batches, and
+  // delivery order are all fixed above/below.
   std::vector<std::vector<BatchOutcome>> outcomes(shards_.size());
-  {
-    charz::WorkStealingPool::Group group(*pool_);
-    for (std::size_t si = 0; si < shards_.size(); ++si) {
-      if (per_shard[si].empty()) continue;
-      group.spawn([this, si, &per_shard, &outcomes] {
-        const std::vector<BatchItem>& items = per_shard[si];
-        for (std::size_t begin = 0; begin < items.size();
-             begin += config_.max_batch) {
-          const std::size_t count =
-              std::min(config_.max_batch, items.size() - begin);
-          outcomes[si].push_back(shards_[si]->execute(
-              std::span<const BatchItem>(items.data() + begin, count),
-              batch_seq_[si]++, res_));
-        }
-      });
+  const auto execute_shard = [this, &per_shard, &outcomes](std::size_t si) {
+    const std::vector<BatchItem>& items = per_shard[si];
+    for (std::size_t begin = 0; begin < items.size();
+         begin += config_.max_batch) {
+      const std::size_t count =
+          std::min(config_.max_batch, items.size() - begin);
+      outcomes[si].push_back(shards_[si]->execute(
+          std::span<const BatchItem>(items.data() + begin, count),
+          batch_seq_[si]++, res_));
     }
-    group.wait();
+  };
+  std::size_t last_busy = shards_.size();
+  for (std::size_t si = 0; si < shards_.size(); ++si)
+    if (!per_shard[si].empty()) last_busy = si;
+  if (last_busy < shards_.size()) {
+    try {
+      charz::WorkStealingPool::Group group(*pool_);
+      for (std::size_t si = 0; si < last_busy; ++si)
+        if (!per_shard[si].empty())
+          group.spawn([&execute_shard, si] { execute_shard(si); });
+      std::exception_ptr error;
+      try {
+        execute_shard(last_busy);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      group.wait();  // joins every spawned shard before anything unwinds.
+      if (error) std::rethrow_exception(error);
+    } catch (...) {
+      // Shard::execute turns batch faults into failed outcomes, so what
+      // escapes it is a defect. Answer the round with it instead of
+      // dropping the round's requests, then let the caller see it.
+      const std::string error = error_text(std::current_exception());
+      for (const std::vector<BatchItem>& items : per_shard)
+        for (const BatchItem& item : items) fail(item, error);
+      throw;
+    }
   }
 
   // Deliver in (shard, batch) order — the deterministic order obs chunks
@@ -448,18 +499,64 @@ void Service::start() {
   if (scheduler_.joinable()) return;
   stop_.store(false, std::memory_order_relaxed);
   scheduler_ = std::thread([this] {
-    while (!stop_.load(std::memory_order_relaxed)) {
-      if (pump() == 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    try {
+      while (!stop_.load())
+        if (pump() == 0 && backlog_.empty()) park();
+      drain();  // never strand an admitted request across stop().
+    } catch (...) {
+      scheduler_error_ = std::current_exception();  // stop() rethrows it.
+      fail_until_stopped(error_text(scheduler_error_));
     }
-    drain();  // never strand an admitted request across stop().
   });
 }
 
-void Service::stop() {
-  if (!scheduler_.joinable()) return;
-  stop_.store(true, std::memory_order_relaxed);
+void Service::fail_until_stopped(const std::string& error) {
+  // pump() answered the round that threw. Nothing executes any more, so
+  // what waits, and whatever is submitted until stop(), is answered
+  // kFailed: a client blocked on a ticket returns and can reach stop().
+  for (;;) {
+    // Read before the sweep, so the last sweep still sees every submit
+    // that returned before stop() was called.
+    const bool stopping = stop_.load();
+    for (const BatchItem& item : std::exchange(backlog_, {}))
+      fail(item, error);
+    Submission submission;
+    while (queue_.try_pop(submission))
+      fail(BatchItem{std::move(submission.request), submission.ticket, 0,
+                     TraceContext{}},
+           error);
+    if (stopping) return;
+    park();
+  }
+}
+
+void Service::park() {
+  parked_.store(true, std::memory_order_relaxed);
+  // Pairs with the fences in submit() and halt() (Dekker): a push or a
+  // stop the checks below miss is followed by a load that sees the flag,
+  // and that thread's unpark() clears it and wakes us.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!stop_.load(std::memory_order_relaxed) && queue_.empty())
+    parked_.wait(true, std::memory_order_relaxed);
+  parked_.store(false, std::memory_order_relaxed);
+}
+
+void Service::unpark() {
+  if (parked_.exchange(false, std::memory_order_relaxed))
+    parked_.notify_one();
+}
+
+std::exception_ptr Service::halt() {
+  if (!scheduler_.joinable()) return nullptr;
+  stop_.store(true);
+  std::atomic_thread_fence(std::memory_order_seq_cst);  // pairs with park().
+  unpark();
   scheduler_.join();
+  return std::exchange(scheduler_error_, nullptr);
+}
+
+void Service::stop() {
+  if (const std::exception_ptr error = halt()) std::rethrow_exception(error);
 }
 
 std::size_t Service::healthy_shards() const {

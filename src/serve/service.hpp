@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <thread>
@@ -78,7 +79,8 @@ struct ServeStats {
 /// all obs artifacts are pure functions of the submission order — worker
 /// count only changes which thread executes a shard's batches. `start()`
 /// runs the same pump loop on a background thread for asynchronous
-/// closed-loop clients (bench_serve).
+/// closed-loop clients (bench_serve); that thread parks while there is
+/// nothing to do and a submit wakes it.
 class Service {
  public:
   explicit Service(ServiceConfig config = ServiceConfig::from_env());
@@ -92,15 +94,26 @@ class Service {
   bool submit(Request request, Ticket* ticket);
 
   /// One scheduler round: drain the queue, expire, batch, dispatch,
-  /// deliver. Returns the number of responses delivered. Not thread-safe
-  /// against itself or start().
+  /// deliver. The calling thread executes one busy shard's batches itself
+  /// and the pool runs the other busy shards. Returns the number of
+  /// responses delivered. If a shard throws, every spawned shard is
+  /// joined, the round's requests are answered kFailed with the error's
+  /// text, and the exception propagates. Not thread-safe against itself
+  /// or start().
   std::size_t pump();
 
   /// Pumps until no queued, backlogged, or in-flight work remains.
   void drain();
 
-  /// Background scheduler loop for asynchronous clients.
+  /// Background scheduler loop for asynchronous clients. It pumps while
+  /// rounds deliver or reroutes wait, and otherwise parks until a submit
+  /// or stop() wakes it. If pump() throws, the loop executes nothing more:
+  /// it answers every waiting request, and each later submit, kFailed
+  /// with the error's text until stop().
   void start();
+  /// Wakes and joins the background scheduler after it answered every
+  /// admitted request. Rethrows whatever stopped the loop early (an
+  /// exception out of pump()).
   void stop();
 
   const ServiceConfig& config() const noexcept { return config_; }
@@ -113,7 +126,17 @@ class Service {
 
  private:
   void deliver(const BatchItem& item, Response response);
+  /// Answers `item` kFailed with `error`, with its event and SLO record.
+  void fail(const BatchItem& item, const std::string& error);
   void record_batch_metrics(const BatchOutcome& outcome, std::size_t size);
+  /// The background scheduler after pump() threw: fails what waits and
+  /// what arrives, parking in between, until stop().
+  void fail_until_stopped(const std::string& error);
+  /// Blocks the background scheduler until a submit or stop() wakes it.
+  void park();
+  void unpark();
+  /// Stops and joins the background scheduler; returns what it threw.
+  std::exception_ptr halt();
 
   ServiceConfig config_;
   charz::detail::Resilience res_;
@@ -126,6 +149,12 @@ class Service {
   ServeStats stats_;
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<bool> stop_{false};
+  /// Set by the scheduler before it sleeps on it (`std::atomic::wait`).
+  /// A submit reads it after its push (a seq_cst fence on each side) and
+  /// clears it and notifies only when it is set, so submitting to a busy
+  /// scheduler makes no syscall.
+  std::atomic<bool> parked_{false};
+  std::exception_ptr scheduler_error_;
   std::thread scheduler_;
 };
 

@@ -75,8 +75,11 @@ std::vector<CompiledRequest> Shard::compile_batch(
   compiled.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Request& request = batch[i].request;
+    // An out-of-range slot gets no group (steering would run trials at
+    // that address and throw); validate() then rejects it by name.
     const pud::RowGroup* group = &kNoGroup;
-    if (request.op != OpKind::kRowClone)
+    if (request.op != OpKind::kRowClone &&
+        compiler_.validate_slot(request).empty())
       group = &group_for(request.bank, request.sa);
     Response& response = outcome.responses[i];
     response.id = request.id;

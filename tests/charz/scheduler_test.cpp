@@ -1,19 +1,15 @@
-// Unit tests for the work-stealing pool plus the scheduling invariants the
-// sweep-point decomposition must preserve: figure tables byte-identical at
-// any SIMRA_THREADS, SIMD tier invisible in the output, and quarantine
-// coverage unchanged by how chip work is split into slot subtasks.
-
-#include "charz/scheduler.hpp"
+// The scheduling invariants the sweep-point decomposition must preserve:
+// figure tables byte-identical at any SIMRA_THREADS, SIMD tier invisible
+// in the output, and quarantine coverage unchanged by how chip work is
+// split into slot subtasks. The pool's own unit tests are in
+// pool_test.cpp.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <iomanip>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "charz/figures.hpp"
 #include "charz/runner.hpp"
@@ -25,72 +21,6 @@ namespace {
 
 using simra::testing::ScopedFaultSpec;
 using simra::testing::ScopedThreads;
-
-TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
-  WorkStealingPool pool(4);
-  std::atomic<int> ran{0};
-  {
-    WorkStealingPool::Group group(pool);
-    for (int i = 0; i < 1000; ++i)
-      group.spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    group.wait();
-  }
-  EXPECT_EQ(ran.load(), 1000);
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.spawned, 1000u);
-  std::uint64_t executed = 0;
-  for (const std::uint64_t n : stats.tasks_per_worker) executed += n;
-  EXPECT_EQ(executed, 1000u);
-}
-
-TEST(WorkStealingPool, NestedGroupsForkJoinWithoutDeadlock) {
-  // Mirrors the harness shape: an outer chip-task group whose tasks each
-  // open an inner slot group on the same pool and join it.
-  WorkStealingPool pool(3);
-  std::atomic<int> leaves{0};
-  WorkStealingPool::Group outer(pool);
-  for (int i = 0; i < 8; ++i) {
-    outer.spawn([&pool, &leaves] {
-      WorkStealingPool::Group inner(pool);
-      for (int j = 0; j < 16; ++j)
-        inner.spawn(
-            [&leaves] { leaves.fetch_add(1, std::memory_order_relaxed); });
-      inner.wait();
-    });
-  }
-  outer.wait();
-  EXPECT_EQ(leaves.load(), 8 * 16);
-}
-
-TEST(WorkStealingPool, FirstTaskExceptionRethrownFromWait) {
-  WorkStealingPool pool(2);
-  WorkStealingPool::Group group(pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i) {
-    group.spawn([&ran, i] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      if (i == 7) throw std::runtime_error("slot 7 failed");
-    });
-  }
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 32) << "an escaped exception must not cancel peers";
-}
-
-TEST(WorkStealingPool, SingleWorkerRunsInlineInSpawnOrder) {
-  WorkStealingPool pool(1);
-  std::vector<int> order;
-  WorkStealingPool::Group group(pool);
-  for (int i = 0; i < 6; ++i)
-    group.spawn([&order, i] { order.push_back(i); });
-  group.wait();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(pool.stats().steals, 0u);
-}
-
-TEST(WorkStealingPool, ZeroWorkersClampsToOne) {
-  WorkStealingPool pool(0);
-  EXPECT_EQ(pool.workers(), 1u);
-}
 
 /// Full-precision figure dump (same shape as the golden suite) so
 /// sub-rendering drift across thread counts or SIMD tiers still fails.

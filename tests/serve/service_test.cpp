@@ -1,15 +1,20 @@
 // End-to-end service behavior on the happy path and its edges: round
 // trips for every op kind, exactly-once accounting, compile-time
-// rejections, virtual-deadline expiry, EDF ordering, admission-full
-// delivery, env-driven configuration, and the workload generator itself.
+// rejections (out-of-range slots included, on both scheduler paths),
+// virtual-deadline expiry, EDF ordering, admission-full delivery, the
+// background scheduler parking and waking under concurrent producers,
+// env-driven configuration, and the workload generator itself.
 
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/workload.hpp"
@@ -124,6 +129,178 @@ TEST(Service, InvalidRequestsAreRejectedWithAReason) {
   EXPECT_EQ(service.stats().delivered(), 1u);
 }
 
+/// One request per op kind × {bank, subarray} naming a slot outside the
+/// chip, otherwise well-formed, with the reason validate() gives for it.
+struct OutOfRange {
+  Request request;
+  std::string reason;
+};
+
+std::vector<OutOfRange> out_of_range_requests(const dram::Geometry& geom) {
+  std::vector<OutOfRange> cases;
+  for (const OpKind op : {OpKind::kRowClone, OpKind::kMultiRowCopy,
+                          OpKind::kBulkInit, OpKind::kMajx}) {
+    for (const bool bad_bank : {true, false}) {
+      Request request;
+      request.op = op;
+      request.src = 0;
+      request.dst = 1;
+      const std::size_t operands =
+          op == OpKind::kMajx ? 3 : (op == OpKind::kBulkInit ? 1 : 0);
+      for (std::size_t k = 0; k < operands; ++k)
+        request.operands.emplace_back(geom.columns);
+      if (bad_bank)
+        request.bank = static_cast<dram::BankId>(geom.banks);
+      else
+        request.sa = static_cast<dram::SubarrayId>(geom.subarrays_per_bank());
+      cases.push_back({std::move(request), bad_bank ? "bank out of range"
+                                                    : "subarray out of range"});
+    }
+  }
+  return cases;
+}
+
+/// Submits every out-of-range case plus one valid request, has the
+/// service answer them through drain() or the background scheduler, and
+/// checks each is rejected by name while the valid one is served and the
+/// accounting closes.
+void expect_out_of_range_rejected(bool background) {
+  Service service(small_config());
+  if (background) service.start();
+  const dram::Geometry& geom = service.config().profiles.front().geometry;
+  std::vector<OutOfRange> cases = out_of_range_requests(geom);
+  std::vector<std::unique_ptr<Ticket>> tickets;
+  for (OutOfRange& c : cases) {
+    tickets.push_back(std::make_unique<Ticket>());
+    ASSERT_TRUE(service.submit(c.request, tickets.back().get()));
+  }
+  Request valid;
+  valid.op = OpKind::kRowClone;
+  valid.src = 2;
+  valid.dst = 5;
+  Ticket valid_ticket;
+  ASSERT_TRUE(service.submit(std::move(valid), &valid_ticket));
+  Response valid_response;
+  if (background) {
+    // Let the scheduler loop, not stop()'s final drain, answer them. A
+    // round that threw would answer them kFailed, and stop() rethrow.
+    valid_response = valid_ticket.wait();
+    service.stop();
+  } else {
+    service.drain();
+    valid_response = valid_ticket.wait();
+  }
+
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ASSERT_TRUE(tickets[i]->ready()) << "case " << i << " never answered";
+    const Response response = tickets[i]->wait();
+    EXPECT_EQ(response.status, Status::kRejected)
+        << to_string(cases[i].request.op) << " " << cases[i].reason;
+    EXPECT_EQ(response.error, cases[i].reason);
+  }
+  EXPECT_EQ(valid_response.status, Status::kOk);
+  const ServeStats& stats = service.stats();
+  EXPECT_EQ(stats.rejected_invalid, cases.size());
+  EXPECT_EQ(stats.ok + stats.expired + stats.failed + stats.rejected_invalid,
+            stats.admitted.load());
+  EXPECT_EQ(service.healthy_shards(), service.shard_count());
+}
+
+TEST(Service, OutOfRangeSlotsAreRejectedByDrain) {
+  expect_out_of_range_rejected(/*background=*/false);
+}
+
+TEST(Service, OutOfRangeSlotsAreRejectedByTheBackgroundScheduler) {
+  expect_out_of_range_rejected(/*background=*/true);
+}
+
+/// A fleet whose group size is not a power of two passes the constructor,
+/// but steering throws the first time a request needs a group: an error
+/// that escapes Shard::execute, standing in for any defect there.
+ServiceConfig throwing_config() {
+  ServiceConfig config = small_config();
+  config.group_size = 3;
+  return config;
+}
+
+constexpr const char* kThrowingConfigError =
+    "group size must be a power of two";
+
+Request rowclone(dram::RowAddr src) {
+  Request request;
+  request.op = OpKind::kRowClone;
+  request.src = src;
+  request.dst = src + 16;
+  return request;
+}
+
+Request majx3(const dram::Geometry& geom) {
+  Request request;
+  request.op = OpKind::kMajx;
+  for (int k = 0; k < 3; ++k) request.operands.emplace_back(geom.columns);
+  return request;
+}
+
+TEST(Service, AThrowingRoundIsAnsweredBeforeDrainRethrows) {
+  Service service(throwing_config());
+  const dram::Geometry& geom = service.config().profiles.front().geometry;
+  Ticket clone_ticket, majx_ticket;
+  ASSERT_TRUE(service.submit(rowclone(0), &clone_ticket));
+  ASSERT_TRUE(service.submit(majx3(geom), &majx_ticket));
+  EXPECT_THROW(service.drain(), std::invalid_argument);
+
+  // Both rode the round that threw, so both are failed with its text.
+  for (Ticket* ticket : {&clone_ticket, &majx_ticket}) {
+    ASSERT_TRUE(ticket->ready());
+    const Response response = ticket->wait();
+    EXPECT_EQ(response.status, Status::kFailed);
+    EXPECT_EQ(response.error, kThrowingConfigError);
+  }
+  const ServeStats& stats = service.stats();
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.delivered(), stats.admitted.load());
+}
+
+TEST(Service, ASchedulerErrorLeavesNoTicketUnanswered) {
+  // Clients block in wait(), as bench_serve's do, and call stop() only
+  // once every ticket returned: a request left unanswered hangs here.
+  Service service(throwing_config());
+  const dram::Geometry& geom = service.config().profiles.front().geometry;
+  service.start();
+  std::vector<std::unique_ptr<Ticket>> tickets;
+  const auto submit = [&](Request request) {
+    tickets.push_back(std::make_unique<Ticket>());
+    EXPECT_TRUE(service.submit(std::move(request), tickets.back().get()));
+    return tickets.back().get();
+  };
+  for (dram::RowAddr row = 0; row < 4; ++row) submit(rowclone(row));
+  Ticket* const majx = submit(majx3(geom));
+  for (dram::RowAddr row = 4; row < 8; ++row) submit(rowclone(row));
+
+  const Response majx_response = majx->wait();
+  EXPECT_EQ(majx_response.status, Status::kFailed);
+  EXPECT_EQ(majx_response.error, kThrowingConfigError);
+  // The scheduler has stopped executing; a later submit is still answered.
+  Ticket* const late = submit(rowclone(9));
+  const Response late_response = late->wait();
+  EXPECT_EQ(late_response.status, Status::kFailed);
+  EXPECT_EQ(late_response.error, kThrowingConfigError);
+  for (const auto& ticket : tickets) {
+    if (ticket.get() == majx || ticket.get() == late) continue;
+    const Response response = ticket->wait();
+    EXPECT_TRUE(response.status == Status::kOk ||
+                response.status == Status::kFailed)
+        << to_string(response.status);
+  }
+  EXPECT_THROW(service.stop(), std::invalid_argument);
+
+  const ServeStats& stats = service.stats();
+  EXPECT_EQ(stats.admitted.load(), tickets.size());
+  EXPECT_EQ(stats.ok + stats.failed, tickets.size());
+  EXPECT_GE(stats.failed, 2u);
+  service.stop();  // the error was collected; a second stop() is a no-op.
+}
+
 TEST(Service, VirtualDeadlinesExpireInsteadOfDispatching) {
   Service service(small_config(1));
 
@@ -230,6 +407,67 @@ TEST(Service, BackgroundSchedulerServesAsynchronousClients) {
     EXPECT_EQ(ticket->wait().status, Status::kOk);
   service.stop();
   EXPECT_EQ(service.stats().ok, 16u);
+}
+
+TEST(Service, ParkingSchedulerAnswersConcurrentProducersExactlyOnce) {
+  // Producers submit in bursts with gaps, so the background scheduler
+  // parks and is woken over and over, while this thread restarts it
+  // under them. Requests that land between a stop() and the next start()
+  // wait in the queue for the next loop. A lost wake-up hangs here.
+  ServiceConfig config = small_config();
+  config.queue_capacity = 2048;
+  config.max_in_flight = 2048;
+  config.tenant_quota = 2048;
+  Service service(config);
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 300;
+  std::vector<std::unique_ptr<Ticket>> tickets(kProducers * kPerProducer);
+  for (auto& ticket : tickets) ticket = std::make_unique<Ticket>();
+  std::vector<char> waited(tickets.size(), 0);  // reply taken by a producer
+  std::atomic<int> finished{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        Request request;
+        request.op = OpKind::kRowClone;
+        request.tenant = static_cast<std::uint32_t>(p);
+        request.src = static_cast<dram::RowAddr>(i % 16);
+        request.dst = static_cast<dram::RowAddr>(16 + i % 16);
+        const std::size_t k = static_cast<std::size_t>(p * kPerProducer + i);
+        EXPECT_TRUE(service.submit(std::move(request), tickets[k].get()));
+        // Odd producers block on some replies; even ones fire bursts.
+        if (p % 2 == 1 && i % 3 == 0) {
+          EXPECT_EQ(tickets[k]->wait().status, Status::kOk);
+          waited[k] = 1;
+        }
+        if (i % 10 == 9)
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      finished.fetch_add(1, std::memory_order_release);
+    });
+  }
+  while (finished.load(std::memory_order_acquire) < kProducers) {
+    service.start();
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    service.stop();
+  }
+  for (std::thread& t : producers) t.join();
+  service.start();
+  service.stop();
+
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    ASSERT_TRUE(tickets[i]->ready()) << "ticket " << i << " never answered";
+    if (waited[i] == 0) {
+      EXPECT_EQ(tickets[i]->wait().status, Status::kOk) << "ticket " << i;
+    }
+  }
+  // Every ticket answered at least once and the deliveries sum to the
+  // tickets, so none was answered twice.
+  const ServeStats& stats = service.stats();
+  EXPECT_EQ(stats.admitted.load(), tickets.size());
+  EXPECT_EQ(stats.delivered(), tickets.size());
+  EXPECT_EQ(stats.ok, tickets.size());
 }
 
 TEST(Service, RejectsDegenerateAndMixedGeometryFleets) {
