@@ -1,6 +1,7 @@
 #include "bender/assembler.hpp"
 
 #include <cctype>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -27,22 +28,36 @@ std::map<std::string, std::string> parse_operands(std::istringstream& in,
   return out;
 }
 
-std::uint64_t parse_number(const std::string& value, std::size_t line) {
+/// Parses operand `key=value` as an unsigned number no larger than `max`,
+/// the width of the field it fills. stoull would wrap a leading '-' and a
+/// cast would truncate a wider value, so both are errors.
+std::uint64_t parse_number(const std::string& key, const std::string& value,
+                           std::size_t line, std::uint64_t max) {
+  const std::string operand = "operand '" + key + "=" + value + "'";
+  if (value.front() == '-') fail(line, "negative " + operand);
+  std::uint64_t parsed = 0;
+  bool fits = true;
   try {
     std::size_t used = 0;
-    const std::uint64_t parsed = std::stoull(value, &used, 0);
+    parsed = std::stoull(value, &used, 0);
     if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
+  } catch (const std::out_of_range&) {
+    fits = false;
   } catch (const std::exception&) {
-    fail(line, "bad number '" + value + "'");
+    fail(line, "bad number in " + operand);
   }
+  if (!fits || parsed > max)
+    fail(line, operand + " out of range (max " + std::to_string(max) + ")");
+  return parsed;
 }
 
-std::uint64_t require(const std::map<std::string, std::string>& operands,
-                      const std::string& key, std::size_t line) {
+template <class Field>
+Field require(const std::map<std::string, std::string>& operands,
+              const std::string& key, std::size_t line) {
   const auto it = operands.find(key);
   if (it == operands.end()) fail(line, "missing operand '" + key + "'");
-  return parse_number(it->second, line);
+  return static_cast<Field>(parse_number(
+      key, it->second, line, std::numeric_limits<Field>::max()));
 }
 
 int hex_digit(char c, std::size_t line) {
@@ -67,10 +82,9 @@ BitVec parse_payload(const std::map<std::string, std::string>& operands,
   }
   const auto pattern = operands.find("pattern");
   if (pattern != operands.end()) {
-    const auto bits = require(operands, "bits", line);
-    BitVec data(bits);
+    BitVec data(require<std::size_t>(operands, "bits", line));
     data.fill_byte(static_cast<std::uint8_t>(
-        parse_number(pattern->second, line) & 0xFF));
+        parse_number("pattern", pattern->second, line, 0xFF)));
     return data;
   }
   fail(line, "WR needs a 'hex=' or 'pattern= bits=' payload");
@@ -116,7 +130,7 @@ Program Assembler::assemble(const std::string& text) {
       intent.rule = *rule;
       const auto bank = operands.find("bank");
       if (bank != operands.end())
-        intent.bank = static_cast<int>(parse_number(bank->second, line_no));
+        intent.bank = require<dram::BankId>(operands, "bank", line_no);
       const auto label = operands.find("label");
       if (label != operands.end()) intent.label = label->second;
       program.expect(std::move(intent));
@@ -140,22 +154,23 @@ Program Assembler::assemble(const std::string& text) {
     const auto operands = parse_operands(in, line_no);
     const auto has_ap = [&] {
       const auto it = operands.find("ap");
-      return it != operands.end() && parse_number(it->second, line_no) != 0;
+      return it != operands.end() &&
+             parse_number("ap", it->second, line_no, 1) != 0;
     };
     if (mnemonic == "ACT") {
-      program.act(static_cast<dram::BankId>(require(operands, "bank", line_no)),
-                  static_cast<dram::RowAddr>(require(operands, "row", line_no)));
+      program.act(require<dram::BankId>(operands, "bank", line_no),
+                  require<dram::RowAddr>(operands, "row", line_no));
     } else if (mnemonic == "PRE") {
-      program.pre(static_cast<dram::BankId>(require(operands, "bank", line_no)));
+      program.pre(require<dram::BankId>(operands, "bank", line_no));
     } else if (mnemonic == "PREA") {
       program.prea();
     } else if (mnemonic == "RD") {
-      program.rd(static_cast<dram::BankId>(require(operands, "bank", line_no)),
-                 static_cast<dram::ColAddr>(require(operands, "col", line_no)),
-                 require(operands, "bits", line_no), has_ap());
+      program.rd(require<dram::BankId>(operands, "bank", line_no),
+                 require<dram::ColAddr>(operands, "col", line_no),
+                 require<std::size_t>(operands, "bits", line_no), has_ap());
     } else if (mnemonic == "WR") {
-      program.wr(static_cast<dram::BankId>(require(operands, "bank", line_no)),
-                 static_cast<dram::ColAddr>(require(operands, "col", line_no)),
+      program.wr(require<dram::BankId>(operands, "bank", line_no),
+                 require<dram::ColAddr>(operands, "col", line_no),
                  parse_payload(operands, line_no), has_ap());
     } else if (mnemonic == "REF") {
       program.ref();

@@ -27,7 +27,8 @@ namespace simra::bender {
 class Assembler {
  public:
   /// Parses a program; throws std::invalid_argument with a line-numbered
-  /// message on malformed input.
+  /// message on malformed input, including an operand that is negative or
+  /// does not fit its field (bank=256, pattern=0x1ff).
   static Program assemble(const std::string& text);
 
   /// Renders a program back to text. WR payloads become `hex=` clauses.

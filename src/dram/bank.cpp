@@ -4,24 +4,25 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "dram/timing.hpp"
 #include "fault/injector.hpp"
 
 namespace simra::dram {
 
 namespace {
-// Internal analog milestones; see ActivationMilestones. Kept here as the
-// single source of truth for the bank's regime decisions.
-constexpr double kSenseEnableNs = 4.0;      // ACT -> SA fires.
-constexpr double kPrechargeSettleNs = 4.0;  // PRE -> wordline de-assert done.
+const ChipContext& checked(const ChipContext& ctx) {
+  if (ctx.profile == nullptr || ctx.layout == nullptr ||
+      ctx.electrical == nullptr || ctx.env == nullptr || ctx.rng == nullptr ||
+      ctx.noise == nullptr)
+    throw std::invalid_argument("bank requires a fully populated chip context");
+  return ctx;
+}
 }  // namespace
 
-Bank::Bank(BankId id, const ChipContext& ctx) : id_(id), ctx_(ctx) {
-  if (ctx_.profile == nullptr || ctx_.layout == nullptr ||
-      ctx_.electrical == nullptr || ctx_.env == nullptr ||
-      ctx_.rng == nullptr || ctx_.noise == nullptr)
-    throw std::invalid_argument("bank requires a fully populated chip context");
-}
+Bank::Bank(BankId id, const ChipContext& ctx)
+    : id_(id),
+      ctx_(checked(ctx)),
+      stepper_(ctx.layout, ctx.profile->timings.tRP.value,
+               ctx.profile->gates_violated_timings) {}
 
 SubarrayId Bank::subarray_of(RowAddr global_row) const {
   return static_cast<SubarrayId>(global_row / ctx_.layout->rows());
@@ -55,8 +56,8 @@ void Bank::check_time(double t_ns) {
 BitlineContext Bank::bitline_ctx() const {
   BitlineContext ctx;
   ctx.bank = id_;
-  ctx.subarray = open_sa_;
-  ctx.group_key = group_key_of(open_local_rows_);
+  ctx.subarray = stepper_.open_sa();
+  ctx.group_key = group_key_of(stepper_.driven());
   ctx.columns = ctx_.profile->geometry.columns;
   return ctx;
 }
@@ -73,21 +74,17 @@ void Bank::apply_cell_faults(Subarray& s, SubarrayId sa, RowAddr local) {
 
 void Bank::apply_apa_disturbance(Subarray& s) {
   fault::ChipInjector* inj = ctx_.faults;
-  if (inj == nullptr || open_local_rows_.empty()) return;
-  const auto [min_it, max_it] =
-      std::minmax_element(open_local_rows_.begin(), open_local_rows_.end());
-  const std::size_t driven = open_local_rows_.size();
+  const std::span<const RowAddr> rows = stepper_.driven();
+  if (inj == nullptr || rows.empty()) return;
+  const auto [min_it, max_it] = std::minmax_element(rows.begin(), rows.end());
+  const std::size_t driven = rows.size();
   if (*min_it > 0) inj->disturb_flips(driven, s.row_data(*min_it - 1));
   if (const RowAddr above = *max_it + 1; above < s.rows())
     inj->disturb_flips(driven, s.row_data(above));
 }
 
-void Bank::open_single(RowAddr local, SubarrayId sa, double t_ns) {
+void Bank::open_single(RowAddr local, SubarrayId sa) {
   Subarray& s = subarray(sa);
-  s.latches().clear();
-  s.latches().latch(local);
-  open_sa_ = sa;
-  open_local_rows_ = {local};
   write_masks_.clear();
   differing_fields_ = 0;
   apa_ = ApaDecision{};
@@ -103,26 +100,18 @@ void Bank::open_single(RowAddr local, SubarrayId sa, double t_ns) {
     apply_cell_faults(s, sa, local);
     row_buffer_ = s.row_data(local);
   }
-  phase_ = Phase::kOpen;
-  t_first_act_ = t_ns;
-  t_last_act_ = t_ns;
 }
 
-void Bank::finish_precharge() {
-  const double t1 = t_pre_ - t_last_act_;
-  Subarray& s = subarray(open_sa_);
-  if (t1 < kSenseEnableNs) {
-    // PRE arrived before the sense amplifiers fired: the open cells were
-    // left half charge-shared with the bitline -> ~VDD/2 (Frac, §2.2).
-    for (RowAddr local : open_local_rows_) {
-      s.set_row_state(local, RowState::kFrac);
-      ++stats_.frac_events;
-    }
-  }
-  s.latches().clear();
-  open_local_rows_.clear();
+void Bank::close(const BankStepper::Released& closed) {
   write_masks_.clear();
-  phase_ = Phase::kIdle;
+  if (!closed.frac) return;
+  // PRE arrived before the sense amplifiers fired: the open cells were
+  // left half charge-shared with the bitline -> ~VDD/2 (Frac, §2.2).
+  Subarray& s = subarray(closed.sa);
+  for (RowAddr local : closed.rows) {
+    s.set_row_state(local, RowState::kFrac);
+    ++stats_.frac_events;
+  }
 }
 
 void Bank::act(RowAddr row, double t_ns) {
@@ -134,55 +123,41 @@ void Bank::act(RowAddr row, double t_ns) {
   // The decoder drives the *internal* wordline; vendors may scramble the
   // in-subarray bits of the logical address the host sends.
   const RowAddr local = ctx_.profile->scrambler.to_internal(local_of(row));
-
-  switch (phase_) {
-    case Phase::kIdle:
-      open_single(local, sa, t_ns);
-      return;
-    case Phase::kOpen:
-      // ACT to an open bank is ignored by the device.
+  const BankStepper::ActVerdict v = stepper_.act(sa, local, t_ns);
+  switch (v.kind) {
+    case BankStepper::Act::kIgnored:
       ++stats_.ignored_commands;
       return;
-    case Phase::kPrecharging: {
-      const double t1 = t_pre_ - t_last_act_;
-      const double t2 = t_ns - t_pre_;
-      const double tRP = ctx_.profile->timings.tRP.value;
-      if (ctx_.profile->gates_violated_timings && t2 < tRP) {
-        // Mfr. S: internal circuitry drops the violated PRE/ACT pair
-        // (§9 Limitation 1) -- the original row simply stays open.
-        ++stats_.gated_commands;
-        phase_ = Phase::kOpen;
-        return;
-      }
-      if (t2 < kPrechargeSettleNs && sa == open_sa_) {
-        resolve_simultaneous(local, t1, t2, t_ns);
-        return;
-      }
-      if (t2 < tRP && sa == open_sa_) {
-        resolve_consecutive(local, t1, t_ns);
-        return;
-      }
-      // Either timings were respected or the second ACT targets another
-      // subarray (its own local decoder; the old one de-asserts normally).
-      finish_precharge();
-      open_single(local, sa, t_ns);
+    case BankStepper::Act::kGated:
+      // Mfr. S: internal circuitry drops the violated PRE/ACT pair
+      // (§9 Limitation 1) -- the original row simply stays open.
+      ++stats_.gated_commands;
       return;
-    }
+    case BankStepper::Act::kSingle:
+      close(v.prior);
+      open_single(local, sa);
+      return;
+    case BankStepper::Act::kConsecutive:
+      resolve_consecutive(local, v);
+      return;
+    case BankStepper::Act::kSimultaneous:
+      resolve_simultaneous(local, v);
+      return;
   }
 }
 
-void Bank::resolve_consecutive(RowAddr local, double t1, double t_ns) {
+void Bank::resolve_consecutive(RowAddr local,
+                               const BankStepper::ActVerdict& v) {
   // t2 past the wordline-settle point but short of tRP: the old wordline
   // de-asserted, the bitlines were *not* precharged, and the SA (if it had
   // latched) still drives the old value -> the newly opened row is
   // overwritten with the row buffer: the RowClone regime (§2.2, fn. 6).
   ++stats_.consecutive_activations;
-  const bool sa_latched = t1 >= kSenseEnableNs;
   const BitVec source = row_buffer_;
-  const SubarrayId sa = open_sa_;
-  finish_precharge();
-  open_single(local, sa, t_ns);
-  if (sa_latched) {
+  const SubarrayId sa = v.prior.sa;
+  close(v.prior);
+  open_single(local, sa);
+  if (v.sa_latched) {
     // The destination's own charge lost the race: the still-driven SA
     // overwrites the destination cells with the source data. Per-cell
     // write-back stability follows the single-destination copy model.
@@ -197,30 +172,27 @@ void Bank::resolve_consecutive(RowAddr local, double t1, double t_ns) {
   }
 }
 
-void Bank::resolve_simultaneous(RowAddr second_local, double t1, double t2,
-                                double t_ns) {
+void Bank::resolve_simultaneous(RowAddr second_local,
+                                const BankStepper::ActVerdict& v) {
   ++stats_.simultaneous_activations;
-  Subarray& s = subarray(open_sa_);
-  s.latches().latch(second_local);
+  const SubarrayId sa = v.prior.sa;
+  Subarray& s = subarray(sa);
   if (s.row_state(second_local) != RowState::kFrac)
-    apply_cell_faults(s, open_sa_, second_local);
-  apa_ = ctx_.electrical->classify_apa(Nanoseconds{t1}, Nanoseconds{t2});
+    apply_cell_faults(s, sa, second_local);
+  apa_ = ctx_.electrical->classify_apa(Nanoseconds{v.t1}, Nanoseconds{v.t2});
 
-  const RowAddr first_local = open_local_rows_.front();
+  const RowAddr first_local = v.prior.rows.front();
   differing_fields_ = ctx_.layout->differing_fields(first_local, second_local);
 
-  // Assemble the driven row set; weakly re-latched decoders can drop
-  // individual second-group rows (t2 = 1.5 ns).
-  std::vector<RowAddr> asserted = s.latches().asserted_rows();
-  std::vector<RowAddr> driven;
-  driven.reserve(asserted.size());
-  for (RowAddr r : asserted) {
-    if (r != first_local && apa_.row_dropout_probability > 0.0 &&
-        ctx_.rng->chance(apa_.row_dropout_probability))
-      continue;
-    driven.push_back(r);
+  // Weakly re-latched decoders can drop individual second-group rows from
+  // the asserted set (t2 = 1.5 ns).
+  if (apa_.row_dropout_probability > 0.0) {
+    stepper_.retain([&](RowAddr r) {
+      return r == first_local ||
+             !ctx_.rng->chance(apa_.row_dropout_probability);
+    });
   }
-  open_local_rows_ = std::move(driven);
+  const std::span<const RowAddr> driven = stepper_.driven();
   write_masks_.clear();
 
   const BitVec source = row_buffer_;  // first row's data, held by the SAs.
@@ -229,8 +201,8 @@ void Bank::resolve_simultaneous(RowAddr second_local, double t1, double t2,
   // Charge-share resolution over the driven rows (the MAJ outcome on
   // bitlines whose SA had not latched the source).
   std::vector<ConnectedRow> rows;
-  rows.reserve(open_local_rows_.size());
-  for (RowAddr r : open_local_rows_) {
+  rows.reserve(driven.size());
+  for (RowAddr r : driven) {
     ConnectedRow cr;
     cr.local_row = r;
     cr.data = s.row_state(r) == RowState::kFrac ? nullptr : &s.row_data(r);
@@ -247,9 +219,7 @@ void Bank::resolve_simultaneous(RowAddr second_local, double t1, double t2,
   // mask is resolved once for the whole operation instead of re-querying
   // bitline_latched() column by column (and row by row below).
   const std::size_t columns = ctx_.profile->geometry.columns;
-  const std::size_t n_dest = open_local_rows_.size() > 0
-                                 ? open_local_rows_.size() - 1
-                                 : 0;
+  const std::size_t n_dest = driven.empty() ? 0 : driven.size() - 1;
   BitVec resolved = share.resolved;
   BitVec latched(columns);
   if (apa_.latch_fraction > 0.0) {
@@ -260,7 +230,7 @@ void Bank::resolve_simultaneous(RowAddr second_local, double t1, double t2,
   // The SAs restore the resolved value into every driven row. On latched
   // (copy-driven) bitlines, per-cell write-back can fail (Multi-RowCopy
   // stability model); charge-share bitlines restore what they sensed.
-  for (RowAddr r : open_local_rows_) {
+  for (RowAddr r : driven) {
     BitVec& cells = s.row_data(r);
     if (apa_.latch_fraction > 0.0 && r != first_local && n_dest > 0) {
       const BitVec& stable = ctx_.electrical->copy_stable_mask(
@@ -276,16 +246,15 @@ void Bank::resolve_simultaneous(RowAddr second_local, double t1, double t2,
   }
   row_buffer_ = resolved;
   apply_apa_disturbance(s);
-  phase_ = Phase::kOpen;
-  t_last_act_ = t_ns;
 }
 
 const BitVec& Bank::write_mask_for(std::size_t open_index) {
   if (write_masks_.empty()) {
-    write_masks_.reserve(open_local_rows_.size());
+    const std::span<const RowAddr> driven = stepper_.driven();
+    write_masks_.reserve(driven.size());
     const BitlineContext bctx = bitline_ctx();
-    for (RowAddr r : open_local_rows_) {
-      if (open_local_rows_.size() == 1) {
+    for (RowAddr r : driven) {
+      if (driven.size() == 1) {
         write_masks_.emplace_back(ctx_.profile->geometry.columns, true);
       } else {
         write_masks_.push_back(ctx_.electrical->write_overdrive_mask(
@@ -299,23 +268,24 @@ const BitVec& Bank::write_mask_for(std::size_t open_index) {
 void Bank::write(ColAddr start_bit, const BitVec& data, double t_ns) {
   check_time(t_ns);
   ++stats_.writes;
-  if (phase_ != Phase::kOpen) {
+  if (!is_open()) {
     ++stats_.ignored_commands;
     return;
   }
   if (start_bit + data.size() > row_buffer_.size())
     throw std::out_of_range("write beyond row width");
   row_buffer_.assign_range(start_bit, data);
-  Subarray& s = subarray(open_sa_);
+  Subarray& s = subarray(stepper_.open_sa());
+  const std::span<const RowAddr> driven = stepper_.driven();
   const bool full_row = start_bit == 0 && data.size() == row_buffer_.size();
   BitVec window;
   if (!full_row) {
     window = BitVec(row_buffer_.size());
     window.set_range(start_bit, data.size(), true);
   }
-  for (std::size_t i = 0; i < open_local_rows_.size(); ++i) {
+  for (std::size_t i = 0; i < driven.size(); ++i) {
     const BitVec& mask = write_mask_for(i);
-    BitVec& cells = s.row_data(open_local_rows_[i]);
+    BitVec& cells = s.row_data(driven[i]);
     if (full_row) {
       cells.assign_masked(row_buffer_, mask);
     } else {
@@ -327,7 +297,7 @@ void Bank::write(ColAddr start_bit, const BitVec& data, double t_ns) {
 BitVec Bank::read(ColAddr start_bit, std::size_t nbits, double t_ns) {
   check_time(t_ns);
   ++stats_.reads;
-  if (phase_ != Phase::kOpen)
+  if (!is_open())
     throw std::logic_error("RD issued to a bank with no open row");
   return row_buffer_.slice(start_bit, nbits);
 }
@@ -335,21 +305,13 @@ BitVec Bank::read(ColAddr start_bit, std::size_t nbits, double t_ns) {
 void Bank::pre(double t_ns) {
   check_time(t_ns);
   ++stats_.pres;
-  if (phase_ != Phase::kOpen) {
-    ++stats_.ignored_commands;
-    return;
-  }
-  phase_ = Phase::kPrecharging;
-  t_pre_ = t_ns;
+  if (!stepper_.pre(t_ns)) ++stats_.ignored_commands;
 }
 
 void Bank::refresh(double t_ns) {
   check_time(t_ns);
-  if (phase_ == Phase::kPrecharging &&
-      t_ns - t_pre_ >= ctx_.profile->timings.tRP.value) {
-    finish_precharge();
-  }
-  if (phase_ != Phase::kIdle) {
+  close(stepper_.refresh(t_ns));
+  if (!stepper_.idle()) {
     ++stats_.ignored_commands;
     return;
   }
@@ -358,11 +320,13 @@ void Bank::refresh(double t_ns) {
 
 std::vector<RowAddr> Bank::open_rows() const {
   std::vector<RowAddr> rows;
-  if (phase_ != Phase::kOpen) return rows;
-  rows.reserve(open_local_rows_.size());
+  if (!is_open()) return rows;
+  const std::span<const RowAddr> driven = stepper_.driven();
+  rows.reserve(driven.size());
   // Internal wordlines map back to the logical addresses the host sees.
-  for (RowAddr r : open_local_rows_)
-    rows.push_back(global_of(open_sa_, ctx_.profile->scrambler.to_logical(r)));
+  for (RowAddr r : driven)
+    rows.push_back(
+        global_of(stepper_.open_sa(), ctx_.profile->scrambler.to_logical(r)));
   return rows;
 }
 
@@ -384,12 +348,6 @@ RowState Bank::backdoor_row_state(RowAddr global_row) const {
   if (it == subarrays_.end()) return RowState::kValid;
   return it->second->row_state(
       ctx_.profile->scrambler.to_internal(local_of(global_row)));
-}
-
-void Bank::backdoor_set_row_state(RowAddr global_row, RowState state) {
-  subarray(subarray_of(global_row))
-      .set_row_state(ctx_.profile->scrambler.to_internal(local_of(global_row)),
-                     state);
 }
 
 }  // namespace simra::dram

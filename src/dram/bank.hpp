@@ -7,6 +7,7 @@
 
 #include "common/bitvec.hpp"
 #include "common/rng.hpp"
+#include "dram/bank_stepper.hpp"
 #include "dram/electrical.hpp"
 #include "dram/predecoder.hpp"
 #include "dram/subarray.hpp"
@@ -51,9 +52,10 @@ struct CommandStats {
   std::uint64_t frac_events = 0;          ///< rows left at VDD/2 by early PRE.
 };
 
-/// One DRAM bank: command-level state machine over lazily materialized
-/// subarrays. The APA (ACT -> PRE -> ACT) semantics of §2.2/§7.1 live
-/// here; all analog resolution is delegated to the ElectricalModel.
+/// One DRAM bank over lazily materialized subarrays. A BankStepper
+/// decides what each command does (the APA regimes of §2.2/§6/§7.1) and
+/// holds the decoder latches; the bank applies its verdicts to the cells,
+/// delegating all analog resolution to the ElectricalModel.
 ///
 /// Commands carry explicit nanosecond timestamps supplied by the host
 /// (bender) layer; the bank enforces monotonicity only.
@@ -86,7 +88,7 @@ class Bank {
   /// REF (modelled for power accounting only). Requires a precharged bank.
   void refresh(double t_ns);
 
-  bool is_open() const noexcept { return phase_ == Phase::kOpen; }
+  bool is_open() const noexcept { return stepper_.open(); }
   /// Global row addresses currently open (asserted and driven).
   std::vector<RowAddr> open_rows() const;
   const BitVec& row_buffer() const noexcept { return row_buffer_; }
@@ -97,7 +99,6 @@ class Bank {
   BitVec& backdoor_row(RowAddr global_row);
   const BitVec& backdoor_row(RowAddr global_row) const;
   RowState backdoor_row_state(RowAddr global_row) const;
-  void backdoor_set_row_state(RowAddr global_row, RowState state);
 
   Subarray& subarray(SubarrayId sa);
   const CommandStats& stats() const noexcept { return stats_; }
@@ -114,10 +115,9 @@ class Bank {
   }
 
  private:
-  enum class Phase { kIdle, kOpen, kPrecharging };
-
   void check_time(double t_ns);
-  void finish_precharge();
+  /// Marks rows a cut-short precharge left at ~VDD/2.
+  void close(const BankStepper::Released& closed);
   /// Applies stuck-at + retention faults to a row's cells at the moment
   /// the wordline asserts (sensing reads the decayed array state). No-op
   /// without an injector or with all chip rates at zero.
@@ -125,9 +125,10 @@ class Bank {
   /// PuDHammer-style disturbance on the rows adjacent to the driven set,
   /// scaled by how many rows the APA left simultaneously asserted.
   void apply_apa_disturbance(Subarray& s);
-  void open_single(RowAddr local, SubarrayId sa, double t_ns);
-  void resolve_consecutive(RowAddr row, double t1, double t_ns);
-  void resolve_simultaneous(RowAddr row, double t1, double t2, double t_ns);
+  void open_single(RowAddr local, SubarrayId sa);
+  void resolve_consecutive(RowAddr local, const BankStepper::ActVerdict& v);
+  void resolve_simultaneous(RowAddr second_local,
+                            const BankStepper::ActVerdict& v);
   BitlineContext bitline_ctx() const;
   const BitVec& write_mask_for(std::size_t open_index);
 
@@ -135,16 +136,11 @@ class Bank {
   ChipContext ctx_;
   std::unordered_map<SubarrayId, std::unique_ptr<Subarray>> subarrays_;
 
-  Phase phase_ = Phase::kIdle;
-  SubarrayId open_sa_ = 0;
-  std::vector<RowAddr> open_local_rows_;
+  BankStepper stepper_;
   std::vector<BitVec> write_masks_;  ///< lazy per-open-row WR overdrive masks.
   BitVec row_buffer_;
   unsigned differing_fields_ = 0;
   ApaDecision apa_;
-  double t_first_act_ = 0.0;
-  double t_last_act_ = 0.0;
-  double t_pre_ = 0.0;
   double t_last_cmd_ = -1.0;
   CommandStats stats_;
 };

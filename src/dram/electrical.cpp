@@ -9,6 +9,7 @@
 
 #include "common/prof.hpp"
 #include "common/rng.hpp"
+#include "dram/bank_stepper.hpp"
 #include "dram/calibration.hpp"
 #include "dram/kernels.hpp"
 #include "obs/metrics.hpp"
@@ -51,8 +52,9 @@ double mrc_latch_fraction(double t1_ns) {
     double t;
     double f;
   };
-  static constexpr Point kPoints[] = {
-      {4.0, 0.30}, {6.0, 0.995}, {12.0, 0.999}, {18.0, 0.9995}, {36.0, 1.0}};
+  static constexpr Point kPoints[] = {{kSenseEnableNs, 0.30}, {6.0, 0.995},
+                                      {12.0, 0.999}, {18.0, 0.9995},
+                                      {36.0, 1.0}};
   if (t1_ns < kPoints[0].t) return 0.0;
   for (std::size_t i = 1; i < std::size(kPoints); ++i) {
     if (t1_ns <= kPoints[i].t) {
@@ -307,11 +309,9 @@ ApaDecision ElectricalModel::classify_apa(Nanoseconds t1, Nanoseconds t2) const 
   const auto& maj = calib::kMajx;
   const auto& smra = calib::kSmra;
   ApaDecision d;
-  d.regime = ApaRegime::kSimultaneous;
   d.latch_fraction = calib::mrc_latch_fraction(t1.value);
-  d.sa_latched = d.latch_fraction > 0.0;
 
-  if (!d.sa_latched) {
+  if (d.latch_fraction == 0.0) {
     // Charge-share (MAJ) regime: the longer the first row stays connected
     // alone, the more charge it transfers relative to the second group.
     d.first_row_extra_weight =

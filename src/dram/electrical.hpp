@@ -26,25 +26,12 @@ struct EnvironmentState {
   Volts vpp{2.5};
 };
 
-/// What an ACT -> PRE -> ACT sequence does, decided by the two timing
-/// delays (t1 between ACT and PRE, t2 between PRE and ACT) relative to the
-/// device's internal milestones (§2.2, §3).
-enum class ApaRegime {
-  kNormal,        ///< Timings respected: plain close-then-open.
-  kConsecutive,   ///< t2 moderate: wordline swapped while SA latched (RowClone).
-  kSimultaneous,  ///< t2 <= ~3 ns: PRE interrupted, many rows open at once.
-  kGated,         ///< Vendor ignores the violated command (Mfr. S).
-};
-
-/// Quantified consequences of an APA timing choice.
+/// Quantified consequences of a simultaneous activation's (t1, t2); which
+/// regime an ACT -> PRE -> ACT falls into is BankStepper's decision.
 struct ApaDecision {
-  ApaRegime regime = ApaRegime::kNormal;
-  /// True when the first row's SA had latched (t1 >= sense enable): the
-  /// simultaneous activation is SA-driven (Multi-RowCopy) rather than a
-  /// charge-share (MAJ).
-  bool sa_latched = false;
-  /// Fraction of bitlines whose SA managed to latch the source value
-  /// (partial for intermediate t1; drives Obs. 15).
+  /// Fraction of bitlines whose SA managed to latch the source value:
+  /// 0 before sense enable (a charge share, MAJ), partial for
+  /// intermediate t1 (Obs. 15), 1 for a clean Multi-RowCopy.
   double latch_fraction = 1.0;
   /// Extra charge-share weight of the first-activated row (Obs. 7 hyp. 1).
   double first_row_extra_weight = 0.0;

@@ -8,8 +8,7 @@ Subarray::Subarray(const PredecoderLayout* layout, std::size_t columns)
     : layout_(layout),
       columns_(columns),
       data_(layout->rows(), BitVec(columns)),
-      states_(layout->rows(), RowState::kValid),
-      latches_(layout) {}
+      states_(layout->rows(), RowState::kValid) {}
 
 BitVec& Subarray::row_data(RowAddr local_row) {
   if (local_row >= rows()) throw std::out_of_range("row out of subarray range");

@@ -15,8 +15,9 @@ enum class RowState : std::uint8_t {
   kFrac,   ///< cells hold ~VDD/2 (a Frac operation destroyed the data).
 };
 
-/// Storage and local decoder latch state of one subarray: a grid of
-/// `layout.rows() x columns` cells plus the latched pre-decoder outputs.
+/// Cell storage of one subarray: a grid of `layout.rows() x columns` cells
+/// and each row's charge state. The local-decoder latches live in the
+/// bank's BankStepper, since at most one subarray per bank is latched.
 class Subarray {
  public:
   Subarray(const PredecoderLayout* layout, std::size_t columns);
@@ -30,15 +31,11 @@ class Subarray {
   RowState row_state(RowAddr local_row) const;
   void set_row_state(RowAddr local_row, RowState state);
 
-  DecoderLatches& latches() noexcept { return latches_; }
-  const DecoderLatches& latches() const noexcept { return latches_; }
-
  private:
   const PredecoderLayout* layout_;
   std::size_t columns_;
   std::vector<BitVec> data_;
   std::vector<RowState> states_;
-  DecoderLatches latches_;
 };
 
 }  // namespace simra::dram

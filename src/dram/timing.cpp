@@ -27,6 +27,4 @@ TimingParams TimingParams::ddr4_3200() {
   return t;
 }
 
-ActivationMilestones ActivationMilestones::typical() { return {}; }
-
 }  // namespace simra::dram

@@ -25,18 +25,4 @@ struct TimingParams {
   static TimingParams ddr4_3200();
 };
 
-/// Internal analog milestones of the activation process, derived from the
-/// timing parameters. These thresholds drive the regime decisions of the
-/// electrical model:
-///  - before `sense_enable`, cells only charge-share with the bitline;
-///  - after `sense_enable`, the sense amplifier starts driving the bitline;
-///  - after tRAS, the row is fully restored and the SA is at the rails.
-struct ActivationMilestones {
-  Nanoseconds sense_enable{4.0};   ///< ACT -> SA fires (bitline ~V_th apart).
-  Nanoseconds wordline_settle{3.0};///< Row-decoder/wordline full assertion.
-  Nanoseconds precharge_settle{3.0};///< PRE -> wordline de-assert complete.
-
-  static ActivationMilestones typical();
-};
-
 }  // namespace simra::dram

@@ -56,26 +56,22 @@ std::size_t kind_index(CommandKind kind) {
   return static_cast<std::size_t>(kind);
 }
 
-/// The per-bank protocol state machine. Transitions out of kActivating
-/// and kPrecharging are aged lazily: a bank that saw ACT at slot a is
-/// considered OPEN from slot a + tRCD, and a bank that saw PRE at slot p
-/// is considered IDLE from slot p + tRP.
+/// The per-bank JEDEC protocol state machine. PRECHARGING ages lazily: a
+/// bank that saw PRE at slot p is considered IDLE from slot p + tRP. Unlike
+/// dram::BankStepper it follows every command, including those the chip
+/// ignores (a PRE to an idle bank restarts the tRP window here). An ACT
+/// opens the bank at once; the tRCD wait is the pairwise rule's job.
 enum class BankPhase : std::uint8_t {
   kIdle,
-  kActivating,
   kOpen,
   kPrecharging,
 };
 
 struct BankState {
   BankPhase phase = BankPhase::kIdle;
-  std::uint64_t phase_since = 0;  ///< slot of the ACT/PRE that set the phase.
+  std::uint64_t phase_since = 0;  ///< slot of the PRE that set the phase.
 
   BankPhase effective(std::uint64_t slot, const RuleTable& table) const {
-    if (phase == BankPhase::kActivating &&
-        slot >= phase_since + table.trcd_slots) {
-      return BankPhase::kOpen;
-    }
     if (phase == BankPhase::kPrecharging &&
         slot >= phase_since + table.trp_slots) {
       return BankPhase::kIdle;
@@ -215,15 +211,13 @@ struct Analysis {
     switch (cmd.kind) {
       case CommandKind::kAct: {
         BankState& state = bank(bank_id);
-        const BankPhase phase = state.effective(cmd.slot, table);
-        if (phase == BankPhase::kOpen || phase == BankPhase::kActivating) {
+        if (state.effective(cmd.slot, table) == BankPhase::kOpen) {
           protocol_finding(FindingKind::kDoubleActivate, Severity::kError,
                            cmd, index);
         }
         check_pairwise(cmd, index);
         check_tfaw(cmd, index);
-        state.phase = BankPhase::kActivating;
-        state.phase_since = cmd.slot;
+        state.phase = BankPhase::kOpen;
         record(cmd, index);
         break;
       }
@@ -276,8 +270,7 @@ struct Analysis {
       }
       case CommandKind::kRef: {
         for (auto& [id, state] : banks) {
-          const BankPhase phase = state.effective(cmd.slot, table);
-          if (phase == BankPhase::kOpen || phase == BankPhase::kActivating) {
+          if (state.effective(cmd.slot, table) == BankPhase::kOpen) {
             protocol_finding(FindingKind::kRefreshOpenBank, Severity::kError,
                              cmd, index);
             break;  // one diagnostic per REF, not one per open bank.

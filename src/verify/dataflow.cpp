@@ -3,47 +3,39 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <utility>
+
+#include "dram/bank_stepper.hpp"
 
 namespace simra::verify {
 namespace {
 
 using bender::CommandKind;
 using bender::TimedCommand;
+using dram::BankStepper;
 using dram::RowAddr;
 using dram::SubarrayId;
 
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
-// The chip model's §6 regime thresholds (mirrored from dram/bank.cpp —
-// model constants of the paper's activation-interval characterization,
-// not vendor timing parameters, so they are not in the RuleTable).
-constexpr double kSenseEnableNs = 4.0;      // ACT -> SA fires.
-constexpr double kPrechargeSettleNs = 4.0;  // PRE -> wordline de-assert.
-
-double slot_gap_ns(std::uint64_t later, std::uint64_t earlier) {
-  return static_cast<double>(later - earlier) * bender::kSlotNs;
-}
-
-/// What we statically know about one row's (or the row buffer's) value.
-enum class Origin : std::uint8_t {
-  kUnknown,  ///< untouched by this program — data from before it started.
-  kWritten,  ///< defined by a WR (payload known when full-row).
-  kCopied,   ///< defined by a consecutive-activation (RowClone) copy.
-  kOpaque,   ///< defined in-program, payload not statically known
-             ///< (charge-share resolution, frac re-sense, partial mixes).
-  kFrac,     ///< left at ~VDD/2 by a cut-short precharge.
-};
-
-bool defined(Origin o) { return o != Origin::kUnknown; }
+bool defined(RowOrigin o) { return o != RowOrigin::kUnknown; }
 
 struct RowVal {
-  Origin origin = Origin::kUnknown;
+  RowOrigin origin = RowOrigin::kUnknown;
   const BitVec* payload = nullptr;  ///< full-row WR payload, if removable.
   std::size_t def_index = kNpos;    ///< index of that WR (DCE candidate).
   std::uint64_t def_slot = 0;
   bool observed = false;  ///< value consumed (RD / copy source / APA vote).
+
+  /// Redefines the value with no statically known payload.
+  void define(RowOrigin o) {
+    origin = o;
+    payload = nullptr;
+    def_index = kNpos;
+    observed = false;
+  }
 };
 
 struct PendingReopen {
@@ -52,13 +44,7 @@ struct PendingReopen {
 };
 
 struct BankFlow {
-  enum class Phase : std::uint8_t { kIdle, kOpen, kPrecharging };
-  Phase phase = Phase::kIdle;
-  SubarrayId open_sa = 0;
-  std::vector<RowAddr> open_rows;  ///< internal subarray-local rows.
-  dram::DecoderLatches latches;
-  std::uint64_t last_act_slot = 0;
-  std::uint64_t pre_slot = 0;
+  BankStepper step;
   std::size_t pre_index = kNpos;
   RowVal buffer;
   /// Per (subarray, internal local row) value state.
@@ -69,7 +55,8 @@ struct BankFlow {
   RowAddr reopen_row = 0;
   std::optional<PendingReopen> pending;
 
-  explicit BankFlow(const dram::PredecoderLayout* layout) : latches(layout) {}
+  BankFlow(const ProgramContext& ctx, double trp_ns)
+      : step(ctx.layout, trp_ns, ctx.gates_violated_timings) {}
 
   RowVal& row(SubarrayId sa, RowAddr local) {
     return rows[{sa, local}];
@@ -90,8 +77,7 @@ struct Flow {
 
   BankFlow& bank(int id) {
     auto it = banks.find(id);
-    if (it == banks.end())
-      it = banks.emplace(id, BankFlow(ctx.layout)).first;
+    if (it == banks.end()) it = banks.emplace(id, BankFlow(ctx, trp_ns)).first;
     return it->second;
   }
 
@@ -122,55 +108,34 @@ struct Flow {
     return out.findings.back();
   }
 
-  void mark_open_observed(BankFlow& b) {
-    for (RowAddr r : b.open_rows) b.row(b.open_sa, r).observed = true;
+  void mark_observed(BankFlow& b, const BankStepper::Released& rows) {
+    for (RowAddr r : rows.rows) b.row(rows.sa, r).observed = true;
   }
 
-  /// Mirrors Bank::finish_precharge: a PRE that cut the sense window
-  /// short leaves the open cells at ~VDD/2.
-  void finish_precharge(BankFlow& b) {
-    const double t1 = slot_gap_ns(b.pre_slot, b.last_act_slot);
-    if (t1 < kSenseEnableNs) {
-      for (RowAddr r : b.open_rows) {
-        RowVal& rv = b.row(b.open_sa, r);
-        rv.origin = Origin::kFrac;
-        rv.payload = nullptr;
-        rv.def_index = kNpos;
-      }
-    }
-    b.latches.clear();
-    b.open_rows.clear();
-    b.phase = BankFlow::Phase::kIdle;
+  /// A precharge that cut the sense window short left the closed cells
+  /// at ~VDD/2.
+  void close(BankFlow& b, const BankStepper::Released& closed) {
+    if (!closed.frac) return;
+    for (RowAddr r : closed.rows) b.row(closed.sa, r).define(RowOrigin::kFrac);
   }
 
-  /// Mirrors Bank::open_single (a frac row re-senses to fresh noise).
-  void open_single(BankFlow& b, SubarrayId sa, RowAddr local,
-                   std::uint64_t slot) {
-    b.latches.clear();
-    b.latches.latch(local);
-    b.open_sa = sa;
-    b.open_rows = {local};
+  /// The row buffer after one row opens (a frac row re-senses to fresh
+  /// noise).
+  void load_buffer(BankFlow& b, SubarrayId sa, RowAddr local) {
     RowVal& rv = b.row(sa, local);
-    if (rv.origin == Origin::kFrac) {
-      rv.origin = Origin::kOpaque;
-      rv.payload = nullptr;
-      rv.def_index = kNpos;
-      rv.observed = false;
-    }
+    if (rv.origin == RowOrigin::kFrac) rv.define(RowOrigin::kOpaque);
     b.buffer = rv;
-    b.phase = BankFlow::Phase::kOpen;
-    b.last_act_slot = slot;
   }
 
   /// The PRE after a matched reopen pair decides removability: only a
   /// nominal (sense-complete) follow-up precharge guarantees the removal
   /// cannot flip a later frac threshold (removal anchors t1 to the
   /// earlier ACT, which can only lengthen it).
-  void resolve_pending(BankFlow& b, const TimedCommand& cmd) {
+  void resolve_pending(BankFlow& b, bool sense_complete) {
     if (!b.pending) return;
     const PendingReopen pending = *b.pending;
     b.pending.reset();
-    if (slot_gap_ns(cmd.slot, b.last_act_slot) < kSenseEnableNs) return;
+    if (!sense_complete) return;
     out.redundant_reopens.emplace_back(pending.pre_index, pending.act_index);
     const TimedCommand& act = program.commands()[pending.act_index];
     Finding& f = check_finding(
@@ -187,44 +152,38 @@ struct Flow {
 
   void precharge(BankFlow& b, const TimedCommand& cmd, std::size_t index,
                  bool removable_candidate) {
-    if (b.phase != BankFlow::Phase::kOpen) {
-      // Ignored by the chip — but only because the bank is closing. With
-      // the candidate pair removed the bank would still be open and this
-      // command would take effect, so candidacy dies here.
-      b.reopen_eligible = false;
-      return;
-    }
-    resolve_pending(b, cmd);
-    const double t1 = slot_gap_ns(cmd.slot, b.last_act_slot);
     b.reopen_eligible = false;
-    if (removable_candidate && b.open_rows.size() == 1 &&
-        t1 >= kSenseEnableNs) {
-      const RowVal& rv = b.row(b.open_sa, b.open_rows.front());
-      if (rv.origin == Origin::kWritten || rv.origin == Origin::kCopied ||
-          rv.origin == Origin::kOpaque) {
+    // An ignored PRE kills candidacy too: the chip ignores it only because
+    // the bank is closing. With the candidate pair removed the bank would
+    // still be open and this command would take effect.
+    if (!b.step.pre(cmd.time_ns())) return;
+    resolve_pending(b, b.step.sa_latched());
+    const std::span<const RowAddr> driven = b.step.driven();
+    if (removable_candidate && driven.size() == 1 && b.step.sa_latched()) {
+      const RowVal& rv = b.row(b.step.open_sa(), driven.front());
+      if (rv.origin == RowOrigin::kWritten || rv.origin == RowOrigin::kCopied ||
+          rv.origin == RowOrigin::kOpaque) {
         b.reopen_eligible = true;
-        b.reopen_row = b.open_rows.front();
+        b.reopen_row = driven.front();
       }
     }
-    b.phase = BankFlow::Phase::kPrecharging;
-    b.pre_slot = cmd.slot;
     b.pre_index = index;
   }
 
   void simultaneous(BankFlow& b, const TimedCommand& cmd, std::size_t index,
-                    SubarrayId sa, RowAddr local, double t1) {
+                    const BankStepper::ActVerdict& v) {
     // The previously open rows' charge votes in the resolution, and every
     // driven row is redefined by the restored outcome.
-    mark_open_observed(b);
-    b.latches.latch(local);
-    std::vector<RowAddr> driven = b.latches.asserted_rows();
+    mark_observed(b, v.prior);
+    const SubarrayId sa = v.prior.sa;
+    const std::span<const RowAddr> driven = b.step.driven();
 
     ApaEvent event;
     event.slot = cmd.slot;
     event.command_index = index;
     event.bank = static_cast<int>(cmd.bank);
     event.sa = sa;
-    event.rows = driven;
+    event.rows.assign(driven.begin(), driven.end());
     out.apas.push_back(std::move(event));
 
     std::size_t known = 0;
@@ -248,8 +207,7 @@ struct Flow {
     // whatever data earlier programs left is the PULSAR replication bug —
     // stale voters silently skew the majority. All-stale groups are the
     // characterization sweeps themselves, so only the mix is flagged.
-    if (t1 < kSenseEnableNs && driven.size() >= 3 && known > 0 &&
-        unknown > 0) {
+    if (!v.sa_latched && driven.size() >= 3 && known > 0 && unknown > 0) {
       std::ostringstream note;
       note << known << " of " << driven.size()
            << " driven rows staged in-program, " << unknown
@@ -258,78 +216,50 @@ struct Flow {
                     index, note.str());
     }
 
-    for (RowAddr r : driven) {
-      RowVal& rv = b.row(sa, r);
-      rv.origin = Origin::kOpaque;
-      rv.payload = nullptr;
-      rv.def_index = kNpos;
-      rv.observed = false;
-    }
+    for (RowAddr r : driven) b.row(sa, r).define(RowOrigin::kOpaque);
     b.buffer = RowVal{};
-    b.buffer.origin = Origin::kOpaque;
-    b.open_rows = std::move(driven);
-    b.phase = BankFlow::Phase::kOpen;
-    b.last_act_slot = cmd.slot;
-  }
-
-  void consecutive(BankFlow& b, const TimedCommand& cmd, SubarrayId sa,
-                   RowAddr local, double t1) {
-    // RowClone regime: the still-driven SA overwrites the destination
-    // with the row buffer — the buffer (and its source rows) is consumed.
-    mark_open_observed(b);
-    const bool sa_latched = t1 >= kSenseEnableNs;
-    finish_precharge(b);
-    open_single(b, sa, local, cmd.slot);
-    if (sa_latched) {
-      RowVal& rv = b.row(sa, local);
-      rv.origin = Origin::kCopied;
-      rv.payload = nullptr;
-      rv.def_index = kNpos;
-      rv.observed = false;
-      b.buffer = rv;
-    }
+    b.buffer.origin = RowOrigin::kOpaque;
   }
 
   void act(const TimedCommand& cmd, std::size_t index) {
     BankFlow& b = bank(static_cast<int>(cmd.bank));
     const SubarrayId sa = subarray_of(cmd.row);
     const RowAddr local = internal_local(cmd.row);
-    switch (b.phase) {
-      case BankFlow::Phase::kIdle:
-        cancel_reopen_tracking(b);
-        open_single(b, sa, local, cmd.slot);
+    const BankStepper::ActVerdict v = b.step.act(sa, local, cmd.time_ns());
+    switch (v.kind) {
+      case BankStepper::Act::kIgnored:
         return;
-      case BankFlow::Phase::kOpen:
-        return;  // ignored by the device.
-      case BankFlow::Phase::kPrecharging: {
-        const double t1 = slot_gap_ns(b.pre_slot, b.last_act_slot);
-        const double t2 = slot_gap_ns(cmd.slot, b.pre_slot);
-        if (ctx.gates_violated_timings && t2 < trp_ns) {
-          // Mfr. S drops the violated pair; the row stays open.
-          b.reopen_eligible = false;
-          b.phase = BankFlow::Phase::kOpen;
-          return;
-        }
-        if (t2 < kPrechargeSettleNs && sa == b.open_sa) {
-          cancel_reopen_tracking(b);
-          simultaneous(b, cmd, index, sa, local, t1);
-          return;
-        }
-        if (t2 < trp_ns && sa == b.open_sa) {
-          cancel_reopen_tracking(b);
-          consecutive(b, cmd, sa, local, t1);
-          return;
-        }
-        // Nominal reopen (or another subarray's decoder).
-        const bool redundant = b.reopen_eligible && sa == b.open_sa &&
-                               local == b.reopen_row &&
-                               b.open_rows.size() == 1 &&
-                               b.open_rows.front() == local;
-        const std::size_t pre_index = b.pre_index;
+      case BankStepper::Act::kGated:
         b.reopen_eligible = false;
-        finish_precharge(b);
-        open_single(b, sa, local, cmd.slot);
-        if (redundant) b.pending = PendingReopen{pre_index, index};
+        return;
+      case BankStepper::Act::kSimultaneous:
+        cancel_reopen_tracking(b);
+        simultaneous(b, cmd, index, v);
+        return;
+      case BankStepper::Act::kConsecutive:
+        // RowClone regime: the still-driven SA overwrites the destination
+        // with the row buffer — the buffer (and its source rows) is
+        // consumed.
+        cancel_reopen_tracking(b);
+        mark_observed(b, v.prior);
+        close(b, v.prior);
+        load_buffer(b, sa, local);
+        if (v.sa_latched) {
+          RowVal& rv = b.row(sa, local);
+          rv.define(RowOrigin::kCopied);
+          b.buffer = rv;
+        }
+        return;
+      case BankStepper::Act::kSingle: {
+        // A nominal reopen of the one row the closing PRE left open.
+        const bool redundant = b.reopen_eligible && v.prior.sa == sa &&
+                               v.prior.rows.size() == 1 &&
+                               v.prior.rows.front() == local &&
+                               local == b.reopen_row;
+        cancel_reopen_tracking(b);
+        close(b, v.prior);
+        load_buffer(b, sa, local);
+        if (redundant) b.pending = PendingReopen{b.pre_index, index};
         return;
       }
     }
@@ -337,14 +267,15 @@ struct Flow {
 
   void write(const TimedCommand& cmd, std::size_t index) {
     BankFlow& b = bank(static_cast<int>(cmd.bank));
-    if (b.phase != BankFlow::Phase::kOpen) {
+    if (!b.step.open()) {
       b.reopen_eligible = false;  // would execute if the pair were removed.
       return;                     // ignored by the chip.
     }
     const bool full_row = cmd.col == 0 && cmd.data.size() == ctx.columns;
-    if (b.open_rows.size() == 1) {
-      RowVal& rv = b.row(b.open_sa, b.open_rows.front());
-      if (full_row && !cmd.a10 && rv.origin == Origin::kWritten &&
+    const std::span<const RowAddr> driven = b.step.driven();
+    if (driven.size() == 1) {
+      RowVal& rv = b.row(b.step.open_sa(), driven.front());
+      if (full_row && !cmd.a10 && rv.origin == RowOrigin::kWritten &&
           rv.def_index != kNpos && !rv.observed) {
         out.dead_stores.push_back(rv.def_index);
         Finding& f = check_finding(
@@ -353,7 +284,7 @@ struct Flow {
         f.prior_slot = rv.def_slot;
         f.prior_index = rv.def_index;
       }
-      rv.origin = Origin::kWritten;
+      rv.origin = RowOrigin::kWritten;
       rv.observed = false;
       if (full_row && !cmd.a10) {
         rv.payload = &cmd.data;
@@ -366,16 +297,11 @@ struct Flow {
     } else {
       // Multi-row write-through: the per-row overdrive masks make each
       // row an unknown mix of payload and previous charge.
-      for (RowAddr r : b.open_rows) {
-        RowVal& rv = b.row(b.open_sa, r);
-        rv.origin = Origin::kOpaque;
-        rv.payload = nullptr;
-        rv.def_index = kNpos;
-        rv.observed = false;
-      }
+      for (RowAddr r : driven)
+        b.row(b.step.open_sa(), r).define(RowOrigin::kOpaque);
     }
     b.buffer = RowVal{};
-    b.buffer.origin = Origin::kWritten;
+    b.buffer.origin = RowOrigin::kWritten;
     if (full_row && !cmd.a10) b.buffer.payload = &cmd.data;
     if (cmd.a10) {
       // WRA auto-precharge: a real PRE for phase tracking, but never half
@@ -386,28 +312,26 @@ struct Flow {
 
   void read(const TimedCommand& cmd, std::size_t index) {
     BankFlow& b = bank(static_cast<int>(cmd.bank));
-    if (b.phase != BankFlow::Phase::kOpen) {
+    if (!b.step.open()) {
       b.reopen_eligible = false;
       return;  // the chip would throw; the analyzer flags it.
     }
     if (!ctx.assume_defined_on_entry &&
-        b.buffer.origin == Origin::kUnknown) {
+        b.buffer.origin == RowOrigin::kUnknown) {
       check_finding(CheckId::kReadUninitialized, Severity::kWarning, cmd,
                     index,
                     "row buffer derives from a row never initialized in "
                     "this program");
     }
     b.buffer.observed = true;
-    mark_open_observed(b);
+    for (RowAddr r : b.step.driven())
+      b.row(b.step.open_sa(), r).observed = true;
     if (cmd.a10) precharge(b, cmd, index, /*removable_candidate=*/false);
   }
 
   void refresh(const TimedCommand& cmd) {
     for (auto& [id, b] : banks) {
-      if (b.phase == BankFlow::Phase::kPrecharging &&
-          slot_gap_ns(cmd.slot, b.pre_slot) >= trp_ns) {
-        finish_precharge(b);
-      }
+      close(b, b.step.refresh(cmd.time_ns()));
       // A refresh between a candidate PRE and its reopening ACT would be
       // swallowed by the removal; give up candidacy conservatively.
       b.reopen_eligible = false;
@@ -452,6 +376,10 @@ DataflowResult dataflow(const bender::Program& program,
   const auto& commands = program.commands();
   for (std::size_t i = 0; i < commands.size(); ++i)
     flow.step(commands[i], i);
+  for (const auto& [id, b] : flow.banks)
+    for (const auto& [key, rv] : b.rows)
+      flow.out.rows.push_back(
+          RowFate{id, key.first, key.second, rv.origin, rv.payload});
   detail::classify_findings(flow.out.findings, program.intents());
   detail::rank_findings(flow.out.findings);
   return std::move(flow.out);

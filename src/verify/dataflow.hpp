@@ -45,6 +45,28 @@ struct ApaEvent {
   std::vector<dram::RowAddr> rows;  ///< driven local rows, sorted.
 };
 
+/// What the pass statically knows about one row's (or the row buffer's)
+/// value.
+enum class RowOrigin : std::uint8_t {
+  kUnknown,  ///< untouched by this program — data from before it started.
+  kWritten,  ///< defined by a WR (payload known when full-row).
+  kCopied,   ///< defined by a consecutive-activation (RowClone) copy.
+  kOpaque,   ///< defined in-program, payload not statically known
+             ///< (charge-share resolution, frac re-sense, partial mixes).
+  kFrac,     ///< left at ~VDD/2 by a cut-short precharge.
+};
+
+/// A row's value state at the end of the program.
+struct RowFate {
+  int bank = 0;
+  dram::SubarrayId sa = 0;
+  dram::RowAddr row = 0;  ///< internal subarray-local row.
+  RowOrigin origin = RowOrigin::kUnknown;
+  /// The full-row WR payload the row holds, when statically known; points
+  /// into the program's commands.
+  const BitVec* payload = nullptr;
+};
+
 /// Output of the dataflow/lifetime pass: classified findings, the APA
 /// events (input to the reliability lint), and the two families of
 /// provably removable commands the optimizer consumes. Removability is
@@ -60,12 +82,14 @@ struct DataflowResult {
   /// (PRE index, ACT index) pairs that close and nominally re-open the
   /// row the bank already had open with no distinguishable state change.
   std::vector<std::pair<std::size_t, std::size_t>> redundant_reopens;
+  /// Every row the program touched, by (bank, subarray, row).
+  std::vector<RowFate> rows;
 };
 
 /// Walks the slot timeline once, tracking per-(bank, row) value state
-/// (undefined / written / copied-from / clobbered-by-APA / frac) through
-/// the same activation regimes the chip model implements (§6 thresholds),
-/// and classifies findings against the program's declared intents.
+/// (undefined / written / copied-from / clobbered-by-APA / frac) by
+/// stepping each bank's dram::BankStepper, the code the chip runs, and
+/// classifies findings against the program's declared intents.
 DataflowResult dataflow(const bender::Program& program,
                         const ProgramContext& ctx);
 

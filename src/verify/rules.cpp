@@ -6,7 +6,6 @@ using bender::CommandKind;
 
 RuleTable RuleTable::ddr4(const dram::TimingParams& t) {
   RuleTable table;
-  table.trcd_slots = slots_for(t.tRCD);
   table.trp_slots = slots_for(t.tRP);
 
   const auto trcd = slots_for(t.tRCD);

@@ -52,9 +52,7 @@ struct WindowRuleSpec {
 struct RuleTable {
   std::vector<RuleSpec> pairwise;
   std::vector<WindowRuleSpec> windows;
-  /// Slot counts the bank-state machine needs to age ACTIVATING -> OPEN
-  /// and PRECHARGING -> IDLE transitions.
-  std::uint64_t trcd_slots = 0;
+  /// Slots after which the bank-state machine ages PRECHARGING -> IDLE.
   std::uint64_t trp_slots = 0;
 
   static RuleTable ddr4(const dram::TimingParams& t);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "bender/executor.hpp"
 #include "common/rng.hpp"
 #include "dram/chip.hpp"
@@ -62,6 +65,49 @@ TEST(Assembler, ErrorsCarryLineNumbers) {
   EXPECT_THROW(Assembler::assemble("WR bank=0 col=0\n"), std::invalid_argument);
   EXPECT_THROW(Assembler::assemble("ACT bank=zz row=0\n"),
                std::invalid_argument);
+}
+
+TEST(Assembler, RejectsNegativeAndOutOfRangeOperands) {
+  // Each of these once assembled by wrapping or truncating the operand.
+  const std::pair<std::string, std::string> cases[] = {
+      {"ACT bank=256 row=5", "bank=256"},
+      {"ACT bank=1 row=4294967301", "row=4294967301"},
+      {"RD bank=0 col=4294967296 bits=64", "col=4294967296"},
+      {"WR bank=0 col=0 bits=8 pattern=0x1ff", "pattern=0x1ff"},
+      {"EXPECT tRAS bank=4294967296", "bank=4294967296"},
+      {"EXPECT tRAS bank=-1", "bank=-1"},
+      {"ACT bank=-1 row=0", "bank=-1"},
+      {"PRE bank=0x100", "bank=0x100"},
+      {"RD bank=0 col=0 bits=-64", "bits=-64"},
+      {"RD bank=0 col=0 bits=99999999999999999999",
+       "bits=99999999999999999999"},
+      {"WR bank=0 col=0 hex=ff ap=2", "ap=2"},
+  };
+  for (const auto& [statement, operand] : cases) {
+    try {
+      Assembler::assemble("REF\n" + statement + "\n");
+      ADD_FAILURE() << "assembled: " << statement;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + operand + "'"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Assembler, AcceptsEachFieldsLargestValue) {
+  const Program p = Assembler::assemble(
+      "EXPECT tRAS bank=255\n"
+      "ACT bank=255 row=4294967295\n"
+      "WR bank=0 col=4294967295 bits=8 pattern=0xff\n");
+  ASSERT_EQ(p.intents().size(), 1u);
+  EXPECT_EQ(p.intents()[0].bank, 255);
+  const auto& cmds = p.commands();
+  ASSERT_EQ(cmds.size(), 2u);
+  EXPECT_EQ(cmds[0].bank, 255u);
+  EXPECT_EQ(cmds[0].row, 4294967295u);
+  EXPECT_EQ(cmds[1].col, 4294967295u);
+  EXPECT_EQ(cmds[1].data.popcount(), 8u);
 }
 
 TEST(Assembler, DisassembleRoundTrip) {

@@ -28,7 +28,6 @@ class ElectricalTest : public ::testing::Test {
 TEST_F(ElectricalTest, ClassifyBestMajTiming) {
   const ApaDecision d =
       model_.classify_apa(Nanoseconds{1.5}, Nanoseconds{3.0});
-  EXPECT_FALSE(d.sa_latched);
   EXPECT_DOUBLE_EQ(d.latch_fraction, 0.0);
   EXPECT_DOUBLE_EQ(d.first_row_extra_weight, 0.0);  // t1+t2 == baseline.
   EXPECT_DOUBLE_EQ(d.second_group_weight, 1.0);
@@ -37,14 +36,13 @@ TEST_F(ElectricalTest, ClassifyBestMajTiming) {
 
 TEST_F(ElectricalTest, ClassifyLongerT1AddsAsymmetry) {
   const ApaDecision d = model_.classify_apa(Nanoseconds{3.0}, Nanoseconds{3.0});
-  EXPECT_FALSE(d.sa_latched);
+  EXPECT_DOUBLE_EQ(d.latch_fraction, 0.0);
   EXPECT_GT(d.first_row_extra_weight, 0.0);
 }
 
 TEST_F(ElectricalTest, ClassifyCopyTiming) {
   const ApaDecision d =
       model_.classify_apa(Nanoseconds{36.0}, Nanoseconds{3.0});
-  EXPECT_TRUE(d.sa_latched);
   EXPECT_DOUBLE_EQ(d.latch_fraction, 1.0);
 }
 

@@ -54,7 +54,6 @@ TEST(RuleTableTest, SlotsForRoundsUpAndToleratesExactMultiples) {
 
 TEST(RuleTableTest, Ddr4TableCoversAllRules) {
   const RuleTable table = RuleTable::ddr4(kTimings);
-  EXPECT_EQ(table.trcd_slots, kTrcdSlots);
   EXPECT_EQ(table.trp_slots, kTrpSlots);
   bool seen[7] = {};
   for (const RuleSpec& rule : table.pairwise)
