@@ -43,7 +43,6 @@ std::size_t slots_per_chip(const Plan& plan) {
 
 void run_slot_task(const Plan& plan, const ChipTask& task, std::size_t slot,
                    fault::ChipInjector* injector,
-                   dram::SharedDeviateCache* deviates,
                    const std::function<void(Instance&, std::size_t)>& fn) {
   const Plan::ModuleSpec& spec = *task.spec;
   // Seeds depend only on (plan.seed, module_index, chip_index, slot),
@@ -52,7 +51,6 @@ void run_slot_task(const Plan& plan, const ChipTask& task, std::size_t slot,
   // physical chip, one variation field); the instance stream is per-slot.
   dram::Chip chip(spec.profile, hash_combine(plan.seed, (task.module_index << 8) |
                                                             task.chip_index));
-  if (deviates != nullptr) chip.share_deviates(deviates);
   pud::Engine engine(&chip);
   if (injector != nullptr) {
     chip.install_faults(injector);
@@ -83,9 +81,8 @@ void run_chip_task(const Plan& plan, const ChipTask& task,
   const std::size_t slots = slots_per_chip(plan);
   const std::function<void(Instance&, std::size_t)> slot_fn =
       [&fn](Instance& inst, std::size_t) { fn(inst); };
-  dram::SharedDeviateCache deviates;
   for (std::size_t slot = 0; slot < slots; ++slot)
-    run_slot_task(plan, task, slot, nullptr, &deviates, slot_fn);
+    run_slot_task(plan, task, slot, nullptr, slot_fn);
 }
 
 unsigned pool_workers(std::size_t total_subtasks) {
@@ -168,10 +165,6 @@ ChipReport run_chip_task_resilient(
   const bool use_faults = res.spec.injects() || res.spec.trace;
   const unsigned max_attempts = res.spec.retry_max + 1;
   const std::size_t slots = slots_per_chip(plan);
-  // One shared deviate memo per chip task, reused across slots *and*
-  // retry attempts: it caches pure functions of the chip's variation
-  // field, so reuse cannot leak state between attempts.
-  dram::SharedDeviateCache deviates;
   // Running end of the chip's virtual timeline: each absorbed slot is
   // shifted to start where the previous one ended, which keeps the merged
   // trace identical at any worker count.
@@ -222,9 +215,8 @@ ChipReport run_chip_task_resilient(
       {
         WorkStealingPool::Group group(pool);
         for (std::size_t slot = 0; slot < slots; ++slot) {
-          group.spawn([&plan, &task, &res, &fn, &outcomes, &deviates,
-                       use_faults, attempt, slot,
-                       has_obs = report.obs != nullptr] {
+          group.spawn([&plan, &task, &res, &fn, &outcomes, use_faults,
+                       attempt, slot, has_obs = report.obs != nullptr] {
             SlotOutcome& outcome = outcomes[slot];
             if (has_obs)
               outcome.obs = std::make_shared<obs::TaskBuffer>(
@@ -237,7 +229,7 @@ ChipReport run_chip_task_resilient(
                                attempt, static_cast<unsigned>(slot) + 1);
             try {
               run_slot_task(plan, task, slot,
-                            injector ? &*injector : nullptr, &deviates, fn);
+                            injector ? &*injector : nullptr, fn);
             } catch (const std::exception& e) {
               outcome.failed = true;
               outcome.error = e.what();

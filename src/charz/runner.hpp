@@ -9,10 +9,6 @@
 #include "charz/scheduler.hpp"
 #include "fault/spec.hpp"
 
-namespace simra::dram {
-class SharedDeviateCache;
-}
-
 namespace simra::charz {
 
 /// Worker count the harness fans instance sweeps across: `SIMRA_THREADS`
@@ -59,12 +55,12 @@ std::size_t slots_per_chip(const Plan& plan);
 /// `fn(instance, slot)` for its single sampled (bank, subarray). All
 /// seeds derive from (plan.seed, module_index, chip_index, slot) — never
 /// from scheduling — so slots may run in any order, on any worker, and
-/// still produce identical samples. `deviates` (optional) is the chip's
-/// shared deviate cache: every slot Chip carries the same chip seed, so
-/// sharing the memo avoids recomputing identical variation spans per slot.
+/// still produce identical samples. The slot's Chip owns its electrical
+/// memos outright: sibling slots (and retry attempts) share nothing but
+/// the chip seed, since a slot's spans and masks are keyed by its own
+/// (bank, subarray) and a chip-level memo would almost never hit.
 void run_slot_task(const Plan& plan, const ChipTask& task, std::size_t slot,
                    fault::ChipInjector* injector,
-                   dram::SharedDeviateCache* deviates,
                    const std::function<void(Instance&, std::size_t)>& fn);
 
 /// Instantiates one chip task and invokes `fn` for each of its

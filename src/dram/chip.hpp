@@ -31,12 +31,6 @@ class Chip {
   const VendorProfile& profile() const noexcept { return profile_; }
   const PredecoderLayout& layout() const noexcept { return layout_; }
   const ElectricalModel& electrical() const noexcept { return electrical_; }
-
-  /// Attaches the chip-level shared deviate cache (non-owning; nullptr
-  /// detaches); see ElectricalModel::share_deviates.
-  void share_deviates(SharedDeviateCache* cache) noexcept {
-    electrical_.share_deviates(cache);
-  }
   std::uint64_t seed() const noexcept { return variation_.seed(); }
 
   std::size_t bank_count() const noexcept { return banks_.size(); }

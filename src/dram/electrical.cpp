@@ -5,6 +5,8 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "common/prof.hpp"
@@ -31,6 +33,10 @@ constexpr std::uint64_t kSaltLatchRace = 0x40;
 constexpr std::uint64_t kSaltFracSense = 0x50;
 
 constexpr double kLowTimingNs = 1.6;  // "1.5 ns" slot, with float slack.
+
+/// Entries per memo (spans and masks alike) before it is cleared: bounds
+/// memory at 4,096 x 32 KiB spans on an 8,192-column row.
+constexpr std::size_t kMemoCap = 4096;
 
 double env_gain(const EnvironmentState& env) {
   const auto& p = calib::kMajx;
@@ -68,20 +74,17 @@ double mrc_latch_fraction(double t1_ns) {
 
 }  // namespace calib
 
-std::size_t ElectricalModel::DeviateKeyHash::operator()(
-    const DeviateKey& k) const noexcept {
+std::size_t ElectricalModel::KeyHash::operator()(
+    const SpanKey& k) const noexcept {
   return static_cast<std::size_t>(
       hash_combine(hash_combine(hash_combine(hash_combine(k.salt, k.k1), k.k2),
                                 k.count),
                    k.uniform ? 1u : 0u));
 }
 
-std::size_t SharedDeviateCache::KeyHash::operator()(
-    const Key& k) const noexcept {
-  return static_cast<std::size_t>(
-      hash_combine(hash_combine(hash_combine(hash_combine(k.salt, k.k1), k.k2),
-                                k.count),
-                   k.uniform ? 1u : 0u));
+std::size_t ElectricalModel::KeyHash::operator()(
+    const MaskKey& k) const noexcept {
+  return static_cast<std::size_t>(hash_combine((*this)(k.first), k.second));
 }
 
 namespace {
@@ -165,131 +168,43 @@ class SpanPool {
 
 SpanPoolStats span_pool_stats() noexcept { return SpanPool::instance().stats(); }
 
-std::shared_ptr<const float[]> SharedDeviateCache::get_or_compute(
-    std::uint64_t salt, std::uint64_t k1, std::uint64_t k2, std::size_t count,
-    bool uniform, const VariationField& field) {
-  constexpr std::size_t kCapacity = 8192;  // bound memory.
-  const Key key{salt, k1, k2, count, uniform};
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    order_.splice(order_.end(), order_, it->second.order_it);
-    return it->second.values;
-  }
+std::shared_ptr<const float[]> ElectricalModel::span(
+    const SpanKey& key) const {
+  if (const auto it = spans_.find(key); it != spans_.end()) return it->second;
   SIMRA_PROF_SCOPE("electrical/deviates_miss");
-  while (map_.size() >= kCapacity) {
-    map_.erase(order_.front());
-    order_.pop_front();
-  }
-  std::shared_ptr<float[]> values = SpanPool::instance().acquire(count);
-  const std::span<float> out(values.get(), count);
-  if (uniform)
-    field.uniform_fill(salt, k1, k2, out);
+  std::shared_ptr<float[]> values = SpanPool::instance().acquire(key.count);
+  const std::span<float> out(values.get(), key.count);
+  if (key.uniform)
+    variation_->uniform_fill(key.salt, key.k1, key.k2, out);
   else
-    field.normal_fill(salt, k1, k2, out);
-  order_.push_back(key);
-  map_.emplace(key, Entry{values, std::prev(order_.end())});
+    variation_->normal_fill(key.salt, key.k1, key.k2, out);
+  if (spans_.size() >= kMemoCap) spans_.clear();
+  spans_.emplace(key, values);
   return values;
 }
 
-std::span<const float> ElectricalModel::deviates(std::uint64_t salt,
-                                                 std::uint64_t k1,
-                                                 std::uint64_t k2,
-                                                 std::size_t count) const {
-  return spans(salt, k1, k2, count, false);
+const BitVec& ElectricalModel::remember(const MaskKey& key, BitVec mask) const {
+  if (masks_.size() >= kMemoCap) masks_.clear();
+  return masks_.emplace(key, std::move(mask)).first->second;
 }
 
-std::span<const float> ElectricalModel::uniforms(std::uint64_t salt,
-                                                 std::uint64_t k1,
-                                                 std::uint64_t k2,
-                                                 std::size_t count) const {
-  return spans(salt, k1, k2, count, true);
-}
-
-std::span<const float> ElectricalModel::spans(std::uint64_t salt,
-                                              std::uint64_t k1,
-                                              std::uint64_t k2,
-                                              std::size_t count,
-                                              bool uniform) const {
-  constexpr std::size_t kCapacity = 4096;  // bound memory.
-  const DeviateKey key{salt, k1, k2, count, uniform};
-  auto it = deviate_cache_.find(key);
-  if (it != deviate_cache_.end()) {
-    // Refresh recency so hot spans survive trimming.
-    deviate_order_.splice(deviate_order_.end(), deviate_order_,
-                          it->second.order_it);
-    return {it->second.values.get(), count};
-  }
-  std::shared_ptr<const float[]> values;
-  if (shared_deviates_ != nullptr) {
-    values = shared_deviates_->get_or_compute(salt, k1, k2, count, uniform,
-                                              *variation_);
-  } else {
-    SIMRA_PROF_SCOPE("electrical/deviates_miss");
-    std::shared_ptr<float[]> computed = SpanPool::instance().acquire(count);
-    const std::span<float> out(computed.get(), count);
-    if (uniform)
-      variation_->uniform_fill(salt, k1, k2, out);
-    else
-      variation_->normal_fill(salt, k1, k2, out);
-    values = std::move(computed);
-  }
-  while (deviate_cache_.size() >= kCapacity) {
-    deviate_cache_.erase(deviate_order_.front());
-    deviate_order_.pop_front();
-  }
-  deviate_order_.push_back(key);
-  it = deviate_cache_
-           .emplace(key, DeviateEntry{std::move(values),
-                                      std::prev(deviate_order_.end())})
-           .first;
-  return {it->second.values.get(), count};
-}
-
-std::size_t ElectricalModel::MaskKeyHash::operator()(
-    const MaskKey& k) const noexcept {
-  return static_cast<std::size_t>(
-      hash_combine(hash_combine(hash_combine(hash_combine(k.salt, k.k1), k.k2),
-                                k.count),
-                   k.z_bits));
-}
-
-const BitVec& ElectricalModel::threshold_mask_cached(std::uint64_t salt,
-                                                     std::uint64_t k1,
-                                                     std::uint64_t k2,
-                                                     std::size_t count,
+const BitVec& ElectricalModel::threshold_mask_cached(const SpanKey& key,
                                                      float z_eff) const {
-  constexpr std::size_t kCapacity = 4096;  // bound memory.
-  const MaskKey key{salt, k1, k2, count, std::bit_cast<std::uint32_t>(z_eff)};
-  auto it = threshold_mask_cache_.find(key);
-  if (it != threshold_mask_cache_.end()) {
-    threshold_mask_order_.splice(threshold_mask_order_.end(),
-                                 threshold_mask_order_, it->second.order_it);
-    return it->second.mask;
-  }
+  const MaskKey mask_key{key, std::bit_cast<std::uint32_t>(z_eff)};
+  if (const auto it = masks_.find(mask_key); it != masks_.end())
+    return it->second;
   // Compared in the uniform domain: zeta < z_eff <=> u < normal_cdf(z_eff)
   // (the deviate is inverse_normal_cdf(u) and the CDF is monotone), so the
   // span fill skips the inverse CDF — by far the dominant cost of a miss.
-  // No chip-level memo here: the slot scheduler hands each slot a disjoint
-  // (bank, row) slice, so mask keys never repeat across sibling models and
-  // a shared map would only add lock traffic (measured zero hits).
-  const std::span<const float> us = uniforms(salt, k1, k2, count);
+  const std::shared_ptr<const float[]> us = span(key);
   const auto u_eff =
       static_cast<float>(normal_cdf(static_cast<double>(z_eff)));
-  BitVec mask_bits(0);
+  BitVec mask(0);
   {
     SIMRA_PROF_SCOPE("electrical/threshold_mask_compute");
-    mask_bits = kernels::threshold_mask(us, u_eff);
+    mask = kernels::threshold_mask({us.get(), key.count}, u_eff);
   }
-  while (threshold_mask_cache_.size() >= kCapacity) {
-    threshold_mask_cache_.erase(threshold_mask_order_.front());
-    threshold_mask_order_.pop_front();
-  }
-  threshold_mask_order_.push_back(key);
-  return threshold_mask_cache_
-      .emplace(key, MaskEntry{std::move(mask_bits),
-                              std::prev(threshold_mask_order_.end())})
-      .first->second.mask;
+  return remember(mask_key, std::move(mask));
 }
 
 std::uint64_t group_key_of(std::span<const RowAddr> rows) {
@@ -541,10 +456,14 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
     }
   }
 
-  const std::span<const float> zetas =
-      deviates(kSaltMajOffset, ctx.bank, ctx.subarray, columns);
-  const std::span<const float> polarities =
-      deviates(kSaltMajPolarity, ctx.bank, ctx.subarray, columns);
+  // Both blocks stay held for the whole resolve: the second lookup may
+  // reset the span memo.
+  const std::shared_ptr<const float[]> zeta_block =
+      span({kSaltMajOffset, ctx.bank, ctx.subarray, columns});
+  const std::shared_ptr<const float[]> polarity_block =
+      span({kSaltMajPolarity, ctx.bank, ctx.subarray, columns});
+  const std::span<const float> zetas(zeta_block.get(), columns);
+  const std::span<const float> polarities(polarity_block.get(), columns);
 
   bool full_width = true;
   for (const BitVec* row : data_rows)
@@ -725,9 +644,10 @@ const BitVec& ElectricalModel::write_overdrive_mask(const BitlineContext& ctx,
   const auto z_eff = static_cast<float>(z / g);
 
   return threshold_mask_cached(
-      kSaltSmraOffset, ctx.bank,
-      (static_cast<std::uint64_t>(ctx.subarray) << 32) | local_row,
-      ctx.columns, z_eff);
+      {kSaltSmraOffset, ctx.bank,
+       (static_cast<std::uint64_t>(ctx.subarray) << 32) | local_row,
+       ctx.columns, true},
+      z_eff);
 }
 
 const BitVec& ElectricalModel::copy_stable_mask(const BitlineContext& ctx,
@@ -757,9 +677,10 @@ const BitVec& ElectricalModel::copy_stable_mask(const BitlineContext& ctx,
   const auto z_eff = static_cast<float>(z / g);
 
   return threshold_mask_cached(
-      kSaltCopyOffset, ctx.bank,
-      (static_cast<std::uint64_t>(ctx.subarray) << 32) | dest_row,
-      ctx.columns, z_eff);
+      {kSaltCopyOffset, ctx.bank,
+       (static_cast<std::uint64_t>(ctx.subarray) << 32) | dest_row,
+       ctx.columns, true},
+      z_eff);
 }
 
 bool ElectricalModel::bitline_latched(const BitlineContext& ctx,
@@ -769,8 +690,8 @@ bool ElectricalModel::bitline_latched(const BitlineContext& ctx,
   if (apa.latch_fraction >= 1.0) return true;
   // Persistent race outcome per bitline: higher latch fractions strictly
   // grow the latched set (the threshold moves, the deviate does not).
-  const std::span<const float> race =
-      deviates(kSaltLatchRace, ctx.bank, ctx.subarray, ctx.columns);
+  const std::shared_ptr<const float[]> race =
+      span({kSaltLatchRace, ctx.bank, ctx.subarray, ctx.columns});
   return normal_cdf(race[column]) < apa.latch_fraction;
 }
 
@@ -779,19 +700,12 @@ BitVec ElectricalModel::latched_mask(const BitlineContext& ctx,
   SIMRA_PROF_SCOPE("electrical/latched_mask");
   if (apa.latch_fraction <= 0.0) return BitVec(ctx.columns);
   if (apa.latch_fraction >= 1.0) return BitVec(ctx.columns, true);
-  const auto key = std::make_tuple(
-      ctx.bank, ctx.subarray, ctx.columns,
-      std::bit_cast<std::uint64_t>(apa.latch_fraction));
-  auto it = latch_mask_cache_.find(key);
-  if (it == latch_mask_cache_.end()) {
-    if (latch_mask_cache_.size() > 256) latch_mask_cache_.clear();
-    const std::span<const float> race =
-        deviates(kSaltLatchRace, ctx.bank, ctx.subarray, ctx.columns);
-    it = latch_mask_cache_
-             .emplace(key, kernels::latch_race_mask(race, apa.latch_fraction))
-             .first;
-  }
-  return it->second;
+  const MaskKey key{{kSaltLatchRace, ctx.bank, ctx.subarray, ctx.columns},
+                    std::bit_cast<std::uint64_t>(apa.latch_fraction)};
+  if (const auto it = masks_.find(key); it != masks_.end()) return it->second;
+  const std::shared_ptr<const float[]> race = span(key.first);
+  return remember(key, kernels::latch_race_mask({race.get(), ctx.columns},
+                                                apa.latch_fraction));
 }
 
 BitVec ElectricalModel::sense_frac_row(const BitlineContext& ctx,
@@ -808,12 +722,12 @@ BitVec ElectricalModel::sense_frac_row(const BitlineContext& ctx,
   // of the batch is a pure function of (stream, cursor + i): the batched
   // SIMD fill, any chunked fill, and a per-column scalar loop all produce
   // the same bits.
-  const std::span<const float> offsets =
-      deviates(kSaltFracSense, ctx.bank, ctx.subarray, ctx.columns);
+  const std::shared_ptr<const float[]> offsets =
+      span({kSaltFracSense, ctx.bank, ctx.subarray, ctx.columns});
   std::vector<double> draws(ctx.columns);
   const std::uint64_t base = noise.reserve(ctx.columns);
   kernels::counter_normal_fill(noise.prefix(), base, draws);
-  return kernels::offset_noise_mask(offsets, draws, 0.35);
+  return kernels::offset_noise_mask({offsets.get(), ctx.columns}, draws, 0.35);
 }
 
 }  // namespace simra::dram

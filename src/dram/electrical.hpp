@@ -1,13 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -71,47 +68,6 @@ struct ChargeShareResult {
   std::size_t ties = 0;  ///< columns with exactly zero net imbalance.
 };
 
-/// Thread-safe LRU cache of deviate spans, shared by the slot models of
-/// one physical chip: every slot's `Chip` is seeded with the same chip
-/// seed (one chip, one variation field), so without sharing each slot
-/// recomputes identical spans. Spans are handed out as shared_ptr —
-/// eviction here only drops the cache's reference, never a span a model
-/// is still holding — and computed under the lock, so concurrent slots
-/// requesting the same span dedupe instead of racing. Purely a memo of
-/// the deterministic variation field: sharing cannot change any value.
-class SharedDeviateCache {
- public:
-  /// `uniform` selects the span flavor: raw hashed uniforms (for
-  /// monotone threshold compares) or normal deviates (for value use).
-  /// The returned block holds `count` floats and stays valid for the
-  /// lifetime of the shared_ptr regardless of eviction.
-  std::shared_ptr<const float[]> get_or_compute(std::uint64_t salt,
-                                               std::uint64_t k1,
-                                               std::uint64_t k2,
-                                               std::size_t count, bool uniform,
-                                               const VariationField& field);
-
- private:
-  struct Key {
-    std::uint64_t salt = 0;
-    std::uint64_t k1 = 0;
-    std::uint64_t k2 = 0;
-    std::size_t count = 0;
-    bool uniform = false;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept;
-  };
-  struct Entry {
-    std::shared_ptr<const float[]> values;
-    std::list<Key>::iterator order_it;
-  };
-  std::mutex mutex_;
-  std::list<Key> order_;  ///< recency order, front = coldest.
-  std::unordered_map<Key, Entry, KeyHash> map_;
-};
-
 /// Process-wide recycle statistics of the span free-list (SpanPool):
 /// `hits` = fills served from a recycled block, `misses` = fresh
 /// allocations (first-touch page faults). Monotone counters, also exported
@@ -137,13 +93,6 @@ SpanPoolStats span_pool_stats() noexcept;
 class ElectricalModel {
  public:
   ElectricalModel(const VendorProfile* profile, const VariationField* variation);
-
-  /// Attaches the chip-level shared deviate cache (non-owning; nullptr
-  /// detaches). On a local-cache miss the model consults `cache` before
-  /// computing, so sibling slot models of the same chip reuse spans.
-  void share_deviates(SharedDeviateCache* cache) noexcept {
-    shared_deviates_ = cache;
-  }
 
   /// Classifies an APA timing pair against the vendor's milestones.
   ApaDecision classify_apa(Nanoseconds t1, Nanoseconds t2) const;
@@ -188,9 +137,10 @@ class ElectricalModel {
                        const ApaDecision& apa) const;
 
   /// All columns' latch-race outcomes at once: bit c set iff
-  /// bitline_latched(ctx, c, apa). Memoized per (bank, subarray, columns,
-  /// latch_fraction) — the race deviates are persistent and the threshold
-  /// only depends on the APA timing, so repeated trials reuse the mask.
+  /// bitline_latched(ctx, c, apa). Kept in the mask memo under the race
+  /// span and the latch_fraction bits — the race deviates are persistent
+  /// and the threshold only depends on the APA timing, so repeated trials
+  /// reuse the mask.
   BitVec latched_mask(const BitlineContext& ctx, const ApaDecision& apa) const;
 
   /// Resolves sensing of a single Frac (VDD/2) row: each SA falls to its
@@ -210,93 +160,56 @@ class ElectricalModel {
   const VendorProfile& profile() const noexcept { return *profile_; }
 
  private:
-  /// Full identity of one deviate span. Keying the cache by the whole
-  /// tuple (rather than a folded 64-bit digest) makes hash collisions
-  /// harmless: equal keys are equal spans by construction.
-  struct DeviateKey {
+  /// Identity of one persistent span of the variation field: entry i is
+  /// the (salt, k1, k2, i) deviate, either as the raw hashed uniform or as
+  /// its normal deviate. Keyed by the whole tuple rather than a folded
+  /// digest, so hash collisions are harmless: equal keys are equal spans.
+  struct SpanKey {
     std::uint64_t salt = 0;
     std::uint64_t k1 = 0;
     std::uint64_t k2 = 0;
     std::size_t count = 0;
+    /// Raw uniforms: mask paths compare them against normal_cdf(threshold),
+    /// monotone-equivalent to comparing the deviate, with no inverse CDF
+    /// on the fill.
     bool uniform = false;
-    bool operator==(const DeviateKey&) const = default;
+    bool operator==(const SpanKey&) const = default;
   };
-  struct DeviateKeyHash {
-    std::size_t operator()(const DeviateKey& k) const noexcept;
-  };
-  struct DeviateEntry {
-    std::shared_ptr<const float[]> values;
-    std::list<DeviateKey>::iterator order_it;
+  /// A threshold or latch-race mask: the span it compares, plus the bits
+  /// of the threshold it compares against.
+  using MaskKey = std::pair<SpanKey, std::uint64_t>;
+  struct KeyHash {
+    std::size_t operator()(const SpanKey& k) const noexcept;
+    std::size_t operator()(const MaskKey& k) const noexcept;
   };
 
   double group_quality(const BitlineContext& ctx, std::uint64_t salt) const;
 
-  /// Per-column persistent deviates for one (salt, k1, k2) entity row,
-  /// memoized: they are pure functions of the variation field, and the
-  /// characterization sweeps re-touch the same rows thousands of times.
-  /// Returned spans stay valid until the entry is evicted; eviction is
-  /// least-recently-used, so spans fetched in the current operation are
-  /// never invalidated by a later fetch in the same operation.
-  std::span<const float> deviates(std::uint64_t salt, std::uint64_t k1,
-                                  std::uint64_t k2, std::size_t count) const;
+  /// The span `key` names. The caller shares the block, so a memo reset
+  /// by a later lookup in the same operation never frees a span that is
+  /// still being read.
+  std::shared_ptr<const float[]> span(const SpanKey& key) const;
 
-  /// Same identity/caching as `deviates`, but the span holds the raw
-  /// hashed uniforms the deviates derive from. Mask paths compare these
-  /// against normal_cdf(threshold) — monotone-equivalent to comparing
-  /// the deviate against the threshold, with no inverse CDF on the fill.
-  std::span<const float> uniforms(std::uint64_t salt, std::uint64_t k1,
-                                  std::uint64_t k2, std::size_t count) const;
+  /// `zetas < z_eff` stability mask over the uniform span `key`, for
+  /// write_overdrive_mask and copy_stable_mask: the trial loops
+  /// re-request the same (row, threshold) point every trial.
+  const BitVec& threshold_mask_cached(const SpanKey& key, float z_eff) const;
 
-  std::span<const float> spans(std::uint64_t salt, std::uint64_t k1,
-                               std::uint64_t k2, std::size_t count,
-                               bool uniform) const;
+  /// Stores a freshly computed mask and returns the stored copy.
+  const BitVec& remember(const MaskKey& key, BitVec mask) const;
 
   const VendorProfile* profile_;
   const VariationField* variation_;
-  SharedDeviateCache* shared_deviates_ = nullptr;
-  /// LRU over deviate spans: `deviate_order_` is recency order (front =
-  /// coldest); hits are spliced to the back, so trimming the front keeps
-  /// the spans the current figure is touching.
-  mutable std::list<DeviateKey> deviate_order_;
-  mutable std::unordered_map<DeviateKey, DeviateEntry, DeviateKeyHash>
-      deviate_cache_;
-  /// Memoized latch-race masks, keyed by (bank, subarray, columns,
-  /// latch_fraction bits).
-  mutable std::map<
-      std::tuple<BankId, SubarrayId, std::size_t, std::uint64_t>, BitVec>
-      latch_mask_cache_;
-
-  /// Memoized `zetas < z_eff` stability masks for write_overdrive_mask and
-  /// copy_stable_mask: the mask is a pure function of the deviate span
-  /// identity (salt, k1, k2, count) and the folded threshold, and the
-  /// trial loops re-request the same (row, threshold) point every trial.
-  /// LRU-evicted (like the deviate cache) instead of wiped wholesale, so
-  /// paper-scale sweeps whose working set exceeds the capacity degrade to
-  /// recomputing the coldest masks rather than thrashing everything.
-  /// Per-model only: the slot scheduler partitions (bank, row) work
-  /// disjointly across sibling models, so a chip-level mask memo would
-  /// never hit (verified empirically) and is deliberately absent.
-  const BitVec& threshold_mask_cached(std::uint64_t salt, std::uint64_t k1,
-                                      std::uint64_t k2, std::size_t count,
-                                      float z_eff) const;
-  struct MaskKey {
-    std::uint64_t salt = 0;
-    std::uint64_t k1 = 0;
-    std::uint64_t k2 = 0;
-    std::size_t count = 0;
-    std::uint32_t z_bits = 0;
-    bool operator==(const MaskKey&) const = default;
-  };
-  struct MaskKeyHash {
-    std::size_t operator()(const MaskKey& k) const noexcept;
-  };
-  struct MaskEntry {
-    BitVec mask;
-    std::list<MaskKey>::iterator order_it;
-  };
-  mutable std::list<MaskKey> threshold_mask_order_;
-  mutable std::unordered_map<MaskKey, MaskEntry, MaskKeyHash>
-      threshold_mask_cache_;
+  /// The model's two memos of pure functions of the variation field: the
+  /// characterization sweeps re-touch the same rows thousands of times.
+  /// Each is cleared wholesale when it reaches its cap, which a sweep's
+  /// working set stays well under. Per-model only: every key carries its
+  /// (bank, subarray) and sibling slot models sample different ones, so a
+  /// chip-level memo of spans or masks almost never hits (0.5 % of span
+  /// lookups on the Fig. 3 fleet sweep) and is deliberately absent.
+  mutable std::unordered_map<SpanKey, std::shared_ptr<const float[]>, KeyHash>
+      spans_;
+  mutable std::unordered_map<MaskKey, BitVec, KeyHash> masks_;
 };
 
 /// Hash of a sorted activated-row set, for group-quality keying.

@@ -60,14 +60,6 @@ void TaskBuffer::add_span(RichSpan span) {
   spans_.push_back(std::move(span));
 }
 
-void TaskBuffer::add_compact(const CompactSpan& span) {
-  if (compact_.size() >= kRichSpanCap) {
-    ++events_dropped_;
-    return;
-  }
-  compact_.push_back(span);
-}
-
 void TaskBuffer::add_request(const RequestTrace& request) {
   if (requests_.size() >= kRichSpanCap) {
     ++events_dropped_;
@@ -94,10 +86,6 @@ void TaskBuffer::absorb(const TaskBuffer& child, double ts_offset_ns) {
     span.ts_ns += ts_offset_ns;
     add_span(std::move(span));
   }
-  for (CompactSpan span : child.compact_spans()) {
-    span.ts_ns += ts_offset_ns;
-    add_compact(span);
-  }
   for (RequestTrace request : child.requests()) {
     request.routed_ns += ts_offset_ns;
     request.batch_start_ns += ts_offset_ns;
@@ -114,8 +102,6 @@ double TaskBuffer::end_ns() const {
   for (const CommandSpan& c : ring_)
     end = std::max(end, c.ts_ns + static_cast<double>(c.dur_ns));
   for (const RichSpan& s : spans_) end = std::max(end, s.ts_ns + s.dur_ns);
-  for (const CompactSpan& s : compact_)
-    end = std::max(end, s.ts_ns + s.dur_ns);
   for (const RequestTrace& r : requests_) end = std::max(end, r.exec_end_ns);
   return end;
 }
@@ -239,18 +225,10 @@ std::string Log::render_trace_json() const {
       // The enclosing chip-task span, synthesized over the task's virtual
       // timeline so the whole trace stays wall-clock-free (and therefore
       // byte-identical at any SIMRA_THREADS).
-      double end_ns = 0.0;
-      for (const CommandSpan& c : commands)
-        end_ns = std::max(end_ns, c.ts_ns + static_cast<double>(c.dur_ns));
-      for (const RichSpan& s : chunk->spans())
-        end_ns = std::max(end_ns, s.ts_ns + s.dur_ns);
-      for (const CompactSpan& s : chunk->compact_spans())
-        end_ns = std::max(end_ns, s.ts_ns + s.dur_ns);
-      for (const RequestTrace& r : chunk->requests())
-        end_ns = std::max(end_ns, r.exec_end_ns);
       std::ostringstream task;
       task << R"({"name":"chip_task )" << json_escape(chunk->label())
-           << R"(","cat":"charz","ph":"X","ts":0,"dur":)" << us(end_ns)
+           << R"(","cat":"charz","ph":"X","ts":0,"dur":)"
+           << us(chunk->end_ns())
            << R"(,"pid":1,"tid":)" << tid << R"(,"args":{"attempts":")"
            << chunk->attempts << R"(","succeeded":")"
            << (chunk->succeeded ? "true" : "false") << R"(","commands":")"
@@ -288,36 +266,9 @@ std::string Log::render_trace_json() const {
       span << rendered << "}}";
       emit(span.str());
     }
-    for (const CompactSpan& s : chunk->compact_spans()) {
-      std::ostringstream span;
-      span << R"({"name":")" << s.name;
-      if (s.name_id != 0) span << s.name_id;
-      span << R"(","cat":")" << s.cat << "\",";
-      if (s.dur_ns > 0.0) {
-        span << R"("ph":"X","ts":)" << us(s.ts_ns) << R"(,"dur":)"
-             << us(s.dur_ns);
-      } else {
-        span << R"("ph":"i","s":"g","ts":)" << us(s.ts_ns);
-      }
-      span << R"(,"pid":)" << pid << R"(,"tid":)" << tid << R"(,"args":{)";
-      bool first_arg = true;
-      for (const CompactSpan::Arg& arg : s.args) {
-        if (arg.key == nullptr) break;
-        if (!first_arg) span << ",";
-        first_arg = false;
-        span << "\"" << arg.key << "\":\"";
-        if (arg.text != nullptr)
-          span << json_escape(arg.text);
-        else
-          span << arg.num;
-        span << "\"";
-      }
-      span << "}}";
-      emit(span.str());
-    }
     // Request span trees, expanded from their fixed-size records: the
     // parent "req <id>" span then its three phase children, each in the
-    // same X/instant form the compact renderer uses.
+    // same X/instant form as a rich span.
     const auto emit_phase = [&](const RequestTrace& r, const char* name,
                                 double ts, double end) {
       const double dur = std::max(end - ts, 0.0);

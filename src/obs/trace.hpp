@@ -45,31 +45,10 @@ struct Event {
   Fields fields;
 };
 
-/// A high-volume annotated span recorded without any string building: all
-/// pointers must be string literals (or otherwise outlive the log) and
-/// values are integers, so recording is a struct copy. The serving layer
-/// uses these for its per-request span trees — span construction sits on
-/// the request hot path, where RichSpan's per-field allocations would
-/// dominate the cost of tracing. Rendered into the same trace.json form
-/// as RichSpan at flush time (outside any measured loop).
-struct CompactSpan {
-  const char* name = "";      ///< static name, or prefix when name_id set.
-  std::uint64_t name_id = 0;  ///< renders as "<name><name_id>" if nonzero.
-  const char* cat = "obs";
-  double ts_ns = 0.0;
-  double dur_ns = 0.0;
-  struct Arg {
-    const char* key = nullptr;   ///< nullptr terminates the arg list.
-    std::uint64_t num = 0;       ///< rendered when text is null.
-    const char* text = nullptr;  ///< interned string value, else numeric.
-  };
-  Arg args[8] = {};
-};
-
 /// One served request's complete span tree — parent plus its
 /// queue_wait/batch_wait/execute phases — as a single fixed-size record.
 /// Recording a request costs one ~88-byte struct push instead of four
-/// CompactSpan pushes (~1KB): the serving hot path records tens of
+/// annotated span pushes (~1KB): the serving hot path records tens of
 /// thousands of these per second, and the retained-buffer footprint
 /// (first-touch page faults on memory that lives until flush) is what
 /// dominates tracing cost there. The renderer expands the record into
@@ -106,7 +85,6 @@ class TaskBuffer {
 
   void record_command(const CommandSpan& span);
   void add_span(RichSpan span);
-  void add_compact(const CompactSpan& span);
   void add_request(const RequestTrace& request);
   void add_event(std::string type, Fields fields);
 
@@ -121,7 +99,7 @@ class TaskBuffer {
   void absorb(const TaskBuffer& child, double ts_offset_ns);
 
   /// End of the recorded virtual timeline: max ts + dur over retained
-  /// command and rich spans (0 when empty).
+  /// command, rich and request spans (0 when empty).
   double end_ns() const;
 
   /// Ring contents in recording order (oldest retained first).
@@ -131,9 +109,6 @@ class TaskBuffer {
   }
   std::uint64_t commands_dropped() const noexcept;
   const std::vector<RichSpan>& spans() const noexcept { return spans_; }
-  const std::vector<CompactSpan>& compact_spans() const noexcept {
-    return compact_;
-  }
   const std::vector<RequestTrace>& requests() const noexcept {
     return requests_;
   }
@@ -153,7 +128,6 @@ class TaskBuffer {
   std::size_t ring_capacity_;
   std::uint64_t ring_head_ = 0;  ///< total commands ever recorded.
   std::vector<RichSpan> spans_;
-  std::vector<CompactSpan> compact_;
   std::vector<RequestTrace> requests_;
   std::vector<Event> events_;
   std::uint64_t events_dropped_ = 0;

@@ -202,15 +202,11 @@ BatchOutcome Shard::execute(std::span<const BatchItem> batch,
   if (outcome.buffer) {
     // Compile covers validation, group profiling (which runs real trials
     // on the chip, advancing its clock), and fusion.
-    obs::CompactSpan compile_span;
-    compile_span.name = "compile";
-    compile_span.cat = "serve.batch";
-    compile_span.ts_ns = outcome.start_clock_ns;
-    compile_span.dur_ns = std::max(compile_end_ns - outcome.start_clock_ns,
-                                   0.0);
-    compile_span.args[0] = {"batch", batch_seq, nullptr};
-    compile_span.args[1] = {"requests", compiled.size(), nullptr};
-    outcome.buffer->add_compact(compile_span);
+    outcome.buffer->add_span(
+        {"compile", "serve.batch", outcome.start_clock_ns,
+         std::max(compile_end_ns - outcome.start_clock_ns, 0.0),
+         {{"batch", std::to_string(batch_seq)},
+          {"requests", std::to_string(compiled.size())}}});
     std::string table;
     table.reserve(slices.size() * 16);
     char entry[96];

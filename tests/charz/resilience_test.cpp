@@ -12,6 +12,7 @@
 #include "charz/runner.hpp"
 #include "charz/series.hpp"
 #include "common/prof.hpp"
+#include "pud/success.hpp"
 #include "support/scoped_env.hpp"
 
 namespace simra::charz {
@@ -162,6 +163,50 @@ TEST(Resilience, FailedAttemptsDoNotLeakPartialSamples) {
       });
   EXPECT_TRUE(sweep.coverage.complete());
   EXPECT_EQ(sweep.result.visits, p.instance_count());
+}
+
+TEST(Resilience, RetriedChipReproducesTheCleanSweep) {
+  // A retry attempt builds fresh slot chips, which recompute every
+  // deviate span and mask the failed attempt had already memoized. Its
+  // samples must still equal a clean run's bit for bit. The weak t2 puts
+  // success mid-range (medians 46-97 %), so a wrong span moves the table.
+  const Plan p = small_plan();
+  const auto sweep = [&p](std::atomic<int>* failures) {
+    return run_instances<SeriesAccumulator>(
+        p, [&p, failures](Instance& inst, SeriesAccumulator& out) {
+          for (double t1 : {1.5, 36.0}) {
+            pud::MeasureConfig cfg;
+            cfg.trials = p.trials;
+            cfg.timings = {Nanoseconds{t1}, Nanoseconds{1.5}};
+            for (std::size_t n : {2u, 8u, 32u}) {
+              const pud::RowGroup group =
+                  pud::sample_group(inst.engine.layout(), n, inst.rng);
+              out.add({format_ns(t1), std::to_string(n)},
+                      pud::measure_smra(inst.engine, inst.bank, inst.subarray,
+                                        group, cfg, inst.rng));
+            }
+          }
+          if (failures != nullptr && inst.module_index == 0 &&
+              inst.chip_index == 0 && failures->fetch_sub(1) > 0)
+            throw std::runtime_error("transient after measuring");
+        });
+  };
+  ScopedThreads threads("2");
+  Sweep<SeriesAccumulator> clean;
+  {
+    ScopedFaultSpec scoped(nullptr);
+    clean = sweep(nullptr);
+  }
+  ScopedFaultSpec scoped("retry.max=1");
+  std::atomic<int> failures{1};
+  const Sweep<SeriesAccumulator> retried = sweep(&failures);
+  EXPECT_TRUE(retried.coverage.complete());
+  EXPECT_EQ(retried.coverage.retries, 1u);
+  EXPECT_EQ(retried.coverage.chips[0].attempts, 2u);
+  const auto text = [](const Sweep<SeriesAccumulator>& s) {
+    return finish_sweep(s, "SiMRA", {"t1", "N"}).to_table().to_text();
+  };
+  EXPECT_EQ(text(retried), text(clean));
 }
 
 TEST(Resilience, CountersArePublishedToProf) {

@@ -199,9 +199,9 @@ TEST_F(ElectricalTest, GroupKeyOrderIndependentOfContent) {
 
 TEST_F(ElectricalTest, DeviateCacheSurvivesEviction) {
   // The deviate spans are pure functions of the variation field: whatever
-  // the cache does — hits, LRU eviction, regeneration — every query must
-  // reproduce the same persistent mask. Narrow columns keep the churn of
-  // blowing far past the cache capacity (4096 entries) cheap.
+  // the memos do — hits, a wholesale reset at the cap, regeneration —
+  // every query must reproduce the same persistent mask. Narrow columns
+  // keep the churn of blowing past both memos' cap (4096 entries) cheap.
   BitlineContext c = ctx();
   c.columns = 64;
   const EnvironmentState env;
