@@ -1,5 +1,7 @@
 #include "common/bitvec.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -123,14 +125,26 @@ BitVec BitVec::majority(const std::vector<const BitVec*>& inputs) {
 
   BitVec out(n);
   const std::size_t half = inputs.size() / 2;
+  const auto n_planes = static_cast<std::size_t>(std::bit_width(inputs.size()));
+  std::array<std::uint64_t, 64> storage{};
+  const std::span<std::uint64_t> planes(storage.data(), n_planes);
   for (std::size_t w = 0; w < out.words_.size(); ++w) {
-    std::uint64_t result = 0;
-    for (std::size_t bit = 0; bit < kWordBits; ++bit) {
-      std::size_t ones = 0;
-      for (const BitVec* v : inputs) ones += (v->words_[w] >> bit) & 1ULL;
-      if (ones > half) result |= 1ULL << bit;
+    std::fill(planes.begin(), planes.end(), 0);
+    for (const BitVec* v : inputs) bitslice_add(planes, v->words_[w]);
+    // count > half, decided from the top plane down: a lane is greater at
+    // the first plane where its count has a 1 and half a 0, while every
+    // higher plane matched.
+    std::uint64_t greater = 0;
+    std::uint64_t equal = ~0ULL;
+    for (std::size_t p = n_planes; p-- > 0;) {
+      if ((half >> p) & 1) {
+        equal &= planes[p];
+      } else {
+        greater |= equal & planes[p];
+        equal &= ~planes[p];
+      }
     }
-    out.words_[w] = result;
+    out.words_[w] = greater;
   }
   out.clear_trailing();
   return out;

@@ -2,12 +2,27 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace simra {
 
 class Rng;
+
+/// Adds the 64 one-bit lanes of `word` into a bit-sliced vertical
+/// counter: planes[p] holds bit p of every lane's running count, so one
+/// add is a ripple carry over at most planes.size() word ops instead of
+/// 64 scalar increments. A carry out of the top plane is dropped, so
+/// counting n words needs bit_width(n) planes.
+inline void bitslice_add(std::span<std::uint64_t> planes,
+                         std::uint64_t word) noexcept {
+  for (std::size_t p = 0; word != 0 && p < planes.size(); ++p) {
+    const std::uint64_t prev = planes[p];
+    planes[p] ^= word;
+    word &= prev;
+  }
+}
 
 /// Fixed-length vector of bits with word-parallel bulk operations.
 ///
@@ -49,7 +64,9 @@ class BitVec {
   friend BitVec operator^(BitVec a, const BitVec& b) { return a ^= b; }
   bool operator==(const BitVec& other) const;
 
-  /// Bitwise majority across an odd number of equally sized vectors.
+  /// Bitwise majority across an odd number of equally sized vectors,
+  /// word-parallel: each word is counted in bit-sliced planes
+  /// (bitslice_add) and compared against half the input count.
   static BitVec majority(const std::vector<const BitVec*>& inputs);
 
   /// Copies `len` bits starting at `pos` into a new vector.

@@ -500,10 +500,13 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
     const std::size_t n_classes =
         two_class ? (n_lead_rows + 1) * tail_span * 2 : n_lead_rows + 1;
 
-    // Pass 1: per-column class index plus per-class column counts — the
-    // only per-column state the margin math needs.
+    // Pass 1: per-column class index, and which classes occur — the only
+    // per-column state the margin math needs. The seen flag is a plain
+    // store, so columns do not chain through a read-modify-write of a
+    // shared counter; columns per class are counted only for the margin
+    // histogram.
     std::vector<std::int32_t> class_of(columns);
-    std::vector<std::uint64_t> class_count(n_classes, 0);
+    std::vector<std::uint8_t> seen(n_classes, 0);
     {
       std::size_t c = 0;
       for (std::size_t wi = 0; c < columns; ++wi) {
@@ -518,9 +521,15 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
                     static_cast<std::size_t>(odd_set);
           }
           class_of[c] = static_cast<std::int32_t>(index);
-          ++class_count[index];
+          seen[index] = 1;
         }
       }
+    }
+    std::vector<std::uint64_t> class_count;
+    if (obs_margins) {
+      class_count.assign(n_classes, 0);
+      for (const std::int32_t index : class_of)
+        ++class_count[static_cast<std::size_t>(index)];
     }
 
     // Pass 2: fold the sums of the realized classes (exact float-add
@@ -529,8 +538,7 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
     std::vector<std::int32_t> realized;
     realized.reserve(n_classes);
     for (std::size_t idx = 0; idx < n_classes; ++idx)
-      if (class_count[idx] != 0)
-        realized.push_back(static_cast<std::int32_t>(idx));
+      if (seen[idx] != 0) realized.push_back(static_cast<std::int32_t>(idx));
     std::vector<float> class_sums(realized.size());
     for (std::size_t i = 0; i < realized.size(); ++i) {
       const auto idx = static_cast<std::size_t>(realized[i]);

@@ -184,18 +184,9 @@ void column_popcounts(std::span<const BitVec* const> rows,
   const bool use_avx2 = active_simd() == SimdTier::avx2;
   const std::size_t n_words = (columns + kWordBits - 1) / kWordBits;
   for (std::size_t wi = 0; wi < n_words; ++wi) {
-    // Bit-sliced ripple-carry accumulation: plane p holds bit p of every
-    // column's running count, so adding a row is O(planes) word ops
-    // instead of O(set bits) scalar ops.
+    // Bit-sliced accumulation: six planes count up to 63 rows.
     std::uint64_t planes[6] = {0, 0, 0, 0, 0, 0};
-    for (const BitVec* row : rows) {
-      std::uint64_t carry = row->words()[wi];
-      for (int p = 0; carry != 0 && p < 6; ++p) {
-        const std::uint64_t prev = planes[p];
-        planes[p] ^= carry;
-        carry &= prev;
-      }
-    }
+    for (const BitVec* row : rows) bitslice_add(planes, row->words()[wi]);
     const std::size_t base = wi * kWordBits;
     const std::size_t limit = std::min(kWordBits, columns - base);
     if (use_avx2) {

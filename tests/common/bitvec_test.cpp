@@ -95,16 +95,30 @@ TEST(BitVec, EqualityIncludesSize) {
 }
 
 TEST(BitVec, MajorityMatchesPerBitCount) {
+  // Every odd X up to 63 plus one past 128 (eight count planes), at widths
+  // around the word boundaries.
+  std::vector<unsigned> xs;
+  for (unsigned x = 1; x <= 63; x += 2) xs.push_back(x);
+  xs.push_back(129);
   Rng rng(5);
-  std::vector<BitVec> rows(5, BitVec(200));
-  for (auto& r : rows) r.randomize(rng);
-  std::vector<const BitVec*> refs;
-  for (auto& r : rows) refs.push_back(&r);
-  const BitVec maj = BitVec::majority(refs);
-  for (std::size_t i = 0; i < 200; ++i) {
-    int ones = 0;
-    for (const auto& r : rows) ones += r.get(i) ? 1 : 0;
-    EXPECT_EQ(maj.get(i), ones >= 3) << "bit " << i;
+  for (const std::size_t width : {1u, 63u, 64u, 65u, 200u, 8192u}) {
+    std::vector<BitVec> rows(129, BitVec(width));
+    for (BitVec& r : rows) r.randomize(rng);
+    for (const unsigned x : xs) {
+      std::vector<const BitVec*> refs;
+      for (unsigned r = 0; r < x; ++r) refs.push_back(&rows[r]);
+      const BitVec maj = BitVec::majority(refs);
+      ASSERT_EQ(maj.size(), width);
+      for (std::size_t i = 0; i < width; ++i) {
+        unsigned ones = 0;
+        for (unsigned r = 0; r < x; ++r) ones += rows[r].get(i) ? 1 : 0;
+        ASSERT_EQ(maj.get(i), ones > x / 2)
+            << "X " << x << " width " << width << " bit " << i;
+      }
+      if (width % 64 != 0)
+        EXPECT_EQ(maj.words().back() >> (width % 64), 0u)
+            << "X " << x << " width " << width;
+    }
   }
 }
 

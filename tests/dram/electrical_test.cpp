@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "common/rng.hpp"
 #include "dram/calibration.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace simra::dram {
 namespace {
@@ -244,6 +249,78 @@ TEST_F(ElectricalTest, LatchedMaskMatchesScalarBitlineLatched) {
     ASSERT_EQ(mask.get(c), model_.bitline_latched(ctx(), c, apa)) << c;
   // Memoized: the repeat query returns the identical mask.
   EXPECT_EQ(model_.latched_mask(ctx(), apa), mask);
+}
+
+TEST_F(ElectricalTest, ClassPassKeepsResolveAndMarginHistogram) {
+  // Six seeded random rows plus 26 Frac rows (which spread the margins
+  // over several buckets), in the two weight shapes the class path takes:
+  // all weights equal, and the middle row three times as heavy (lead and
+  // tail counts both in play). Both shapes have tie columns. The resolve
+  // and the Rng draws it consumes must not depend on whether margins are
+  // recorded. The recorded sense-margin histogram counts every non-tie
+  // column once, and its buckets and sum are pinned.
+  const std::size_t columns = profile_.geometry.columns;
+  Rng data_rng(2312);
+  std::vector<BitVec> data(6, BitVec(columns));
+  for (BitVec& d : data) d.randomize(data_rng);
+  const ApaDecision apa =
+      model_.classify_apa(Nanoseconds{1.5}, Nanoseconds{3.0});
+  obs::Histogram& hist = obs::MetricsRegistry::instance().histogram(
+      "electrical/sense_margin",
+      {-3, -2, -1, -0.5, -0.25, 0, 0.25, 0.5, 1, 2, 3});
+
+  struct Pinned {
+    double middle_weight;
+    std::uint64_t resolved_hash;
+    std::size_t stable;
+    std::size_t ties;
+    std::uint64_t next_draw;
+    std::array<std::uint64_t, 12> buckets;
+    double sum;
+  };
+  const Pinned shapes[] = {
+      {1.0, 0xf965977bb1f46a27ULL, 933, 2573, 0x0d3c4ca3aa663971ULL,
+       {0, 3891, 0, 0, 0, 1488, 0, 0, 0, 0, 240, 0},
+       -0x1.533aa5876a2c1p+13},
+      {3.0, 0x38b6eb9c1757ea72ULL, 2719, 1249, 0x36017dc2c1f818cfULL,
+       {0, 2812, 0, 0, 0, 2642, 0, 0, 0, 0, 1249, 240},
+       -0x1.2a9214f3a6178p+12},
+  };
+  for (const Pinned& want : shapes) {
+    std::vector<ConnectedRow> rows;
+    for (std::size_t i = 0; i < data.size(); ++i)
+      rows.push_back({static_cast<RowAddr>(i), &data[i],
+                      i == 2 ? want.middle_weight : 1.0});
+    for (std::size_t i = data.size(); i < 32; ++i)
+      rows.push_back({static_cast<RowAddr>(i), nullptr, 1.0});
+    for (const bool record : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "weight " << want.middle_weight
+                                      << " obs " << record);
+      obs::set_enabled_for_test(record);
+      hist.reset();
+      Rng rng(7);
+      const ChargeShareResult r = model_.resolve_charge_share(
+          ctx(), rows, 0.25, EnvironmentState{}, apa, rng);
+      const std::uint64_t next_draw = rng();
+      obs::set_enabled_for_test(std::nullopt);
+
+      std::uint64_t hash = 1469598103934665603ULL;
+      for (const std::uint64_t w : r.resolved.words())
+        hash = (hash ^ w) * 1099511628211ULL;
+      EXPECT_EQ(hash, want.resolved_hash);
+      EXPECT_EQ(r.stable.popcount(), want.stable);
+      EXPECT_EQ(r.ties, want.ties);
+      EXPECT_EQ(next_draw, want.next_draw);
+      if (!record) {
+        EXPECT_EQ(hist.count(), 0u);
+        continue;
+      }
+      EXPECT_EQ(hist.count(), columns - r.ties);
+      for (std::size_t b = 0; b < want.buckets.size(); ++b)
+        EXPECT_EQ(hist.bucket_count(b), want.buckets[b]) << "bucket " << b;
+      EXPECT_EQ(hist.sum(), want.sum);
+    }
+  }
 }
 
 }  // namespace

@@ -4,8 +4,11 @@ JSON Schemas (docs/schema/). Standard library only — implements the small
 JSON Schema subset those schemas use (type, required, properties, items,
 enum, additionalProperties-as-schema), so CI needs no extra packages.
 
-Usage: validate_obs.py OBS_DIR [--schema-dir docs/schema]
-Exits non-zero on the first structural problem, printing where it is.
+Usage: validate_obs.py OBS_DIR [--schema-dir DIR]
+The schema directory defaults to docs/schema of the repository this script
+sits in, so it runs from any working directory. Exits non-zero on the first
+structural problem, or on a missing, unreadable or malformed file, printing
+where it is.
 """
 
 import argparse
@@ -62,24 +65,40 @@ def fail(message):
     sys.exit(1)
 
 
+def load(path, parse=json.load):
+    """Parses the file at `path`; any failure to read or parse it fails the
+    run with the path and the reason."""
+    try:
+        with open(path) as f:
+            return parse(f)
+    except OSError as e:
+        fail(f"{path}: {e.strerror or e}")
+    except ValueError as e:
+        fail(f"{path}: invalid JSON: {e}")
+
+
+def parse_jsonl(f):
+    return [json.loads(line) for line in f if line.strip()]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("obs_dir")
-    parser.add_argument("--schema-dir", default="docs/schema")
+    parser.add_argument("--schema-dir", default=os.path.normpath(
+        os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "docs", "schema")))
     args = parser.parse_args()
 
-    def load(name):
-        with open(os.path.join(args.schema_dir, name)) as f:
-            return json.load(f)
+    def schema(name):
+        return load(os.path.join(args.schema_dir, name))
 
-    trace_schema = load("trace.schema.json")
-    events_schema = load("events.schema.json")
-    span_schema = load("request_span.schema.json")
-    snapshot_schema = load("snapshot.schema.json")
+    trace_schema = schema("trace.schema.json")
+    events_schema = schema("events.schema.json")
+    span_schema = schema("request_span.schema.json")
+    snapshot_schema = schema("snapshot.schema.json")
 
     trace_path = os.path.join(args.obs_dir, "trace.json")
-    with open(trace_path) as f:
-        trace = json.load(f)
+    trace = load(trace_path)
     errors = check(trace, trace_schema, "trace")
     if errors:
         fail(f"{trace_path}: " + "; ".join(errors[:5]))
@@ -124,8 +143,7 @@ def main():
 
     events_path = os.path.join(args.obs_dir, "events.jsonl")
     manifest_schema = trace_schema["properties"]["manifest"]
-    with open(events_path) as f:
-        lines = [json.loads(line) for line in f if line.strip()]
+    lines = load(events_path, parse_jsonl)
     if not lines or "manifest" not in lines[0]:
         fail(f"{events_path}: first line must be the manifest header")
     errors = check(lines[0]["manifest"], manifest_schema, "events.manifest")
@@ -141,8 +159,7 @@ def main():
     print(f"validate_obs: {events_path}: {len(lines) - 1} events OK")
 
     manifest_path = os.path.join(args.obs_dir, "manifest.json")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    manifest = load(manifest_path)
     errors = check(manifest, manifest_schema, "manifest")
     if errors:
         fail(f"{manifest_path}: " + "; ".join(errors[:5]))
@@ -154,8 +171,7 @@ def main():
     # (SloRegistry has data); validate it when present.
     snapshot_path = os.path.join(args.obs_dir, "snapshot.json")
     if os.path.exists(snapshot_path):
-        with open(snapshot_path) as f:
-            snapshot = json.load(f)
+        snapshot = load(snapshot_path)
         errors = check(snapshot, snapshot_schema, "snapshot")
         if errors:
             fail(f"{snapshot_path}: " + "; ".join(errors[:5]))
