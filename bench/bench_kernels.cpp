@@ -102,37 +102,61 @@ void BM_Lag8DisagreementScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_Lag8DisagreementScalar);
 
-void BM_ColumnPopcounts(benchmark::State& state) {
-  const auto n_rows = static_cast<std::size_t>(state.range(0));
-  Rng rng(6);
+std::vector<BitVec> random_rows(std::size_t n_rows, std::uint64_t seed) {
+  Rng rng(seed);
   std::vector<BitVec> rows(n_rows, BitVec(kColumns));
   for (auto& r : rows) r.randomize(rng);
+  return rows;
+}
+
+void BM_CountPlanes(benchmark::State& state) {
+  const auto rows = random_rows(static_cast<std::size_t>(state.range(0)), 6);
   std::vector<const BitVec*> ptrs;
   for (const auto& r : rows) ptrs.push_back(&r);
-  std::vector<std::uint8_t> counts(kColumns);
+  constexpr std::size_t kWords = kColumns / 64;
+  std::vector<std::uint64_t> planes(6 * kWords);
   for (auto _ : state) {
-    dram::kernels::column_popcounts(ptrs, counts);
-    benchmark::DoNotOptimize(counts.data());
+    dram::kernels::count_planes(ptrs, kWords, planes);
+    benchmark::DoNotOptimize(planes.data());
   }
 }
-BENCHMARK(BM_ColumnPopcounts)->Arg(8)->Arg(32);
+BENCHMARK(BM_CountPlanes)->Arg(8)->Arg(32);
 
-void BM_ColumnPopcountsScalar(benchmark::State& state) {
-  const auto n_rows = static_cast<std::size_t>(state.range(0));
-  Rng rng(6);
-  std::vector<BitVec> rows(n_rows, BitVec(kColumns));
-  for (auto& r : rows) r.randomize(rng);
-  std::vector<std::uint8_t> counts(kColumns);
-  for (auto _ : state) {
-    for (std::size_t c = 0; c < kColumns; ++c) {
-      std::uint8_t ones = 0;
-      for (const auto& r : rows) ones += r.get(c) ? 1 : 0;
-      counts[c] = ones;
-    }
-    benchmark::DoNotOptimize(counts.data());
+/// The class parts of each word of a row.
+using WordParts = std::vector<std::vector<dram::kernels::ClassPart>>;
+
+/// A row's 128 words, each split into parts of `n_classes` classes with
+/// random columns, thresholds and majority bits; class 0 is a tie class.
+WordParts random_word_parts(std::size_t n_classes, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<dram::kernels::ClassPart> classes(n_classes);
+  for (std::size_t i = 0; i < n_classes; ++i) {
+    classes[i].threshold = static_cast<float>(rng.normal());
+    classes[i].flags = i == 0 ? dram::kernels::kClassTie
+                       : rng.chance(0.5) ? dram::kernels::kClassMajorityOne
+                                         : 0;
   }
+  WordParts words(kColumns / 64, classes);
+  for (auto& parts : words)
+    for (std::size_t b = 0; b < 64; ++b)
+      parts[rng.below(n_classes)].mask |= 1ULL << b;
+  return words;
 }
-BENCHMARK(BM_ColumnPopcountsScalar)->Arg(8)->Arg(32);
+
+void resolve_row(const WordParts& words, const std::vector<float>& zetas,
+                 const std::vector<float>& polarities) {
+  for (std::size_t wi = 0; wi < words.size(); ++wi)
+    benchmark::DoNotOptimize(dram::kernels::resolve_word(
+        zetas.data() + 64 * wi, polarities.data() + 64 * wi, words[wi]));
+}
+
+void BM_ResolveWord(benchmark::State& state) {
+  const auto words = random_word_parts(4, 8);
+  const auto zetas = random_floats(kColumns, 9);
+  const auto polarities = random_floats(kColumns, 10);
+  for (auto _ : state) resolve_row(words, zetas, polarities);
+}
+BENCHMARK(BM_ResolveWord);
 
 // --- scalar-vs-AVX2 report -------------------------------------------------
 
@@ -168,12 +192,12 @@ int simd_report(bool assert_avx2_wins) {
   Rng bit_rng(5);
   BitVec row(kColumns);
   row.randomize(bit_rng);
-  std::vector<BitVec> rows(32, BitVec(kColumns));
-  Rng rows_rng(6);
-  for (auto& r : rows) r.randomize(rows_rng);
+  const auto rows = random_rows(32, 6);
   std::vector<const BitVec*> ptrs;
   for (const auto& r : rows) ptrs.push_back(&r);
-  std::vector<std::uint8_t> counts(kColumns);
+  std::vector<std::uint64_t> planes(6 * (kColumns / 64));
+  const auto word_parts = random_word_parts(4, 8);
+  const auto polarities = random_floats(kColumns, 10);
   std::vector<float> deviates(kColumns);
   std::vector<double> counter_draws(kColumns);
   // margin_chain runs over sum classes (not columns); 1024 is a dense
@@ -211,11 +235,13 @@ int simd_report(bool assert_avx2_wins) {
          std::size_t total = 0;
          benchmark::DoNotOptimize(dram::kernels::lag8_disagreement(row, total));
        }},
-      {"column_popcounts_32rows",
+      {"count_planes_32rows",
        [&] {
-         dram::kernels::column_popcounts(ptrs, counts);
-         benchmark::DoNotOptimize(counts.data());
+         dram::kernels::count_planes(ptrs, kColumns / 64, planes);
+         benchmark::DoNotOptimize(planes.data());
        }},
+      {"resolve_word_4classes",
+       [&] { resolve_row(word_parts, zetas, polarities); }},
       {"hashed_normal_fill",
        [&] {
          dram::kernels::hashed_normal_fill(0x5eed, deviates);

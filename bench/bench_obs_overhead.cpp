@@ -3,6 +3,10 @@
 // files), then a deterministic serving loop the same way, records the
 // measured overheads as gauges in BENCH_harness.json, and fails when
 // either exceeds the budget (SIMRA_OVERHEAD_MAX percent, default 5).
+// Each repetition times both sides back to back, alternating which runs
+// first, and the gate reads the median of the per-repetition on/off
+// ratios, so host drift over the run cancels inside each ratio instead
+// of landing on whichever side was timed later.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -64,13 +68,42 @@ double timed_serve_seconds(std::size_t ops) {
       .count();
 }
 
-/// Best-of-N wall-clock: the minimum is the least-noise estimate of the
-/// true cost, which is what an overhead ratio should compare.
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// One check's measurement: each side's median seconds, and the median
+/// per-repetition overhead in percent.
+struct Overhead {
+  double off_seconds = 0.0;
+  double on_seconds = 0.0;
+  double pct = 0.0;
+};
+
+/// Times `run` untraced and traced in each of `reps` (odd) repetitions;
+/// odd repetitions run the traced side first. The log is reset after
+/// every traced run so each one measures the steady-state recording
+/// cost: a long-running service flushes and recycles its trace memory,
+/// so retained pages get reused. Without the reset every traced run
+/// first-touches fresh pages for data it retains until flush, and the
+/// page-commit cost — proportional to artifact size, not request rate —
+/// dominates the measurement.
 template <typename Fn>
-double best_of(int n, Fn&& fn) {
-  double best = fn();
-  for (int i = 1; i < n; ++i) best = std::min(best, fn());
-  return best;
+Overhead paired_overhead(int reps, Fn&& run) {
+  std::vector<double> off, on, ratio;
+  for (int r = 0; r < reps; ++r) {
+    double seconds[2] = {0.0, 0.0};  // [untraced, traced]
+    for (const bool traced : {r % 2 == 1, r % 2 == 0}) {
+      simra::obs::set_enabled_for_test(traced);
+      seconds[traced ? 1 : 0] = run();
+      if (traced) simra::obs::reset_log();
+    }
+    off.push_back(seconds[0]);
+    on.push_back(seconds[1]);
+    ratio.push_back(seconds[0] > 0.0 ? seconds[1] / seconds[0] : 1.0);
+  }
+  return {median(off), median(on), (median(ratio) - 1.0) * 100.0};
 }
 
 }  // namespace
@@ -90,75 +123,43 @@ int main() {
   (void)timed_fig3_seconds(plan);
   (void)timed_serve_seconds(serve_ops);
 
-  const double off_seconds = best_of(3, [&] { return timed_fig3_seconds(plan); });
-  obs::set_enabled_for_test(true);
+  // The fig3 sweep, then the serving path: the full request-scoped
+  // pipeline (span trees, SLO histograms, slot attribution) against the
+  // identical pipeline with obs switched off at runtime. A serve pass
+  // takes a few milliseconds, so it gets more repetitions than the sweep.
   obs::reset_log();
-  const double on_seconds = best_of(3, [&] {
-    const double seconds = timed_fig3_seconds(plan);
-    obs::reset_log();
-    return seconds;
-  });
-
-  // Serving path: the full request-scoped pipeline (span trees, SLO
-  // histograms, slot attribution) against the identical pipeline with obs
-  // compiled out at runtime.
-  obs::set_enabled_for_test(false);
-  obs::reset_log();
-  const double serve_off_seconds =
-      best_of(3, [&] { return timed_serve_seconds(serve_ops); });
-  obs::set_enabled_for_test(true);
-  obs::reset_log();
-  // The log is reset between repetitions so the minimum measures the
-  // steady-state recording cost: a long-running service flushes and
-  // recycles its trace memory, so retained pages get reused. Without the
-  // reset every repetition first-touches fresh pages for data it retains
-  // until flush, and the page-commit cost — proportional to artifact
-  // size, not request rate — dominates the measurement.
-  const double serve_on_seconds = best_of(3, [&] {
-    const double seconds = timed_serve_seconds(serve_ops);
-    obs::reset_log();
-    return seconds;
-  });
+  const Overhead fig3 =
+      paired_overhead(21, [&] { return timed_fig3_seconds(plan); });
+  const Overhead serve =
+      paired_overhead(61, [&] { return timed_serve_seconds(serve_ops); });
   obs::set_enabled_for_test(std::nullopt);
   obs::reset_log();
 
-  const double overhead_pct =
-      off_seconds > 0.0 ? (on_seconds / off_seconds - 1.0) * 100.0 : 0.0;
-  const double serve_overhead_pct =
-      serve_off_seconds > 0.0
-          ? (serve_on_seconds / serve_off_seconds - 1.0) * 100.0
-          : 0.0;
-  obs::MetricsRegistry::instance()
-      .gauge("obs/overhead_pct")
-      .set(overhead_pct);
+  obs::MetricsRegistry::instance().gauge("obs/overhead_pct").set(fig3.pct);
   obs::MetricsRegistry::instance()
       .gauge("obs/serve_overhead_pct")
-      .set(serve_overhead_pct);
-  bench_common::HarnessReport::global().record("obs_overhead_off",
-                                               off_seconds,
-                                               plan.instance_count());
-  bench_common::HarnessReport::global().record("obs_overhead_on", on_seconds,
-                                               plan.instance_count());
-  bench_common::HarnessReport::global().record("obs_serve_overhead_off",
-                                               serve_off_seconds, serve_ops);
-  bench_common::HarnessReport::global().record("obs_serve_overhead_on",
-                                               serve_on_seconds, serve_ops);
-  bench_common::HarnessReport::global().record_kernels();
+      .set(serve.pct);
+  auto& report = bench_common::HarnessReport::global();
+  report.record("obs_overhead_off", fig3.off_seconds, plan.instance_count());
+  report.record("obs_overhead_on", fig3.on_seconds, plan.instance_count());
+  report.record("obs_serve_overhead_off", serve.off_seconds, serve_ops);
+  report.record("obs_serve_overhead_on", serve.on_seconds, serve_ops);
+  report.record_kernels();
 
-  std::cout << "obs off: " << Table::num(off_seconds, 3) << " s, obs on: "
-            << Table::num(on_seconds, 3) << " s, overhead "
-            << Table::num(overhead_pct, 2) << "% (budget "
+  std::cout << "obs off: " << Table::num(fig3.off_seconds, 3)
+            << " s, obs on: " << Table::num(fig3.on_seconds, 3)
+            << " s, overhead " << Table::num(fig3.pct, 2) << "% (budget "
             << Table::num(budget_pct, 1) << "%)\n";
-  std::cout << "serve off: " << Table::num(serve_off_seconds, 3)
-            << " s, serve on: " << Table::num(serve_on_seconds, 3)
-            << " s, overhead " << Table::num(serve_overhead_pct, 2)
-            << "% (budget " << Table::num(budget_pct, 1) << "%)\n";
+  std::cout << "serve off: " << Table::num(serve.off_seconds, 3)
+            << " s, serve on: " << Table::num(serve.on_seconds, 3)
+            << " s, overhead " << Table::num(serve.pct, 2) << "% (budget "
+            << Table::num(budget_pct, 1) << "%)\n";
   bool failed = false;
-  if (overhead_pct > budget_pct) {
+  if (fig3.pct > budget_pct) {
     std::cout << "FAIL: tracing overhead exceeds the budget\n";
     failed = true;
   }
-  if (serve_overhead_pct > budget_pct) {
+  if (serve.pct > budget_pct) {
     std::cout << "FAIL: serve-path tracing overhead exceeds the budget\n";
     failed = true;
   }

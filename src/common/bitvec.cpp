@@ -131,20 +131,7 @@ BitVec BitVec::majority(const std::vector<const BitVec*>& inputs) {
   for (std::size_t w = 0; w < out.words_.size(); ++w) {
     std::fill(planes.begin(), planes.end(), 0);
     for (const BitVec* v : inputs) bitslice_add(planes, v->words_[w]);
-    // count > half, decided from the top plane down: a lane is greater at
-    // the first plane where its count has a 1 and half a 0, while every
-    // higher plane matched.
-    std::uint64_t greater = 0;
-    std::uint64_t equal = ~0ULL;
-    for (std::size_t p = n_planes; p-- > 0;) {
-      if ((half >> p) & 1) {
-        equal &= planes[p];
-      } else {
-        greater |= equal & planes[p];
-        equal &= ~planes[p];
-      }
-    }
-    out.words_[w] = greater;
+    out.words_[w] = bitslice_greater(planes, half);
   }
   out.clear_trailing();
   return out;

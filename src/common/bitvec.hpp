@@ -24,6 +24,25 @@ inline void bitslice_add(std::span<std::uint64_t> planes,
   }
 }
 
+/// The lanes whose bit-sliced count (planes as bitslice_add builds them)
+/// exceeds `half`, decided from the top plane down: a lane is greater at
+/// the first plane where its count has a 1 and `half` a 0, while every
+/// higher plane matched. `half` must fit in planes.size() bits.
+inline std::uint64_t bitslice_greater(std::span<const std::uint64_t> planes,
+                                      std::size_t half) noexcept {
+  std::uint64_t greater = 0;
+  std::uint64_t equal = ~0ULL;
+  for (std::size_t p = planes.size(); p-- > 0;) {
+    if ((half >> p) & 1) {
+      equal &= planes[p];
+    } else {
+      greater |= equal & planes[p];
+      equal &= ~planes[p];
+    }
+  }
+  return greater;
+}
+
 /// Fixed-length vector of bits with word-parallel bulk operations.
 ///
 /// Used to represent DRAM row contents (one bit per cell on a wordline) and

@@ -6,14 +6,6 @@
 
 namespace simra {
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = state;
@@ -35,23 +27,6 @@ std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) noexcept {
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t s = seed;
   for (auto& lane : state_) lane = splitmix64(s);
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -99,12 +74,6 @@ double Rng::normal(double mean, double stddev) noexcept {
 
 void Rng::normal_fill(std::span<double> out) noexcept {
   for (double& v : out) v = normal();
-}
-
-bool Rng::chance(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 Rng Rng::fork() noexcept { return Rng{(*this)()}; }

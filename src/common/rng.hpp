@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -33,10 +34,25 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() noexcept;
+  /// Next xoshiro256++ output. Inline, with uniform() and chance(): the
+  /// charge-share resolve flips a coin per tie column.
+  result_type operator()() noexcept {
+    const std::uint64_t result =
+        std::rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): the 53 high bits of the next output.
+  double uniform() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;
@@ -60,7 +76,11 @@ class Rng {
   void normal_fill(std::span<double> out) noexcept;
 
   /// Bernoulli trial with success probability `p`.
-  bool chance(double p) noexcept;
+  bool chance(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   /// Derives an independent child generator (for per-entity streams).
   Rng fork() noexcept;

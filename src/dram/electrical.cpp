@@ -411,9 +411,9 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
   // Rows fall into weight classes (the first-activated row vs the rest),
   // so each column's signed float sum — accumulated row by row in the
   // scalar model — takes one value per (set bits before the odd-weight
-  // row, odd row's bit, set bits after) combination. Classify every
-  // column with bit-sliced popcounts, then run the pow/threshold chain
-  // once per class.
+  // row, odd row's bit, set bits after) combination. Split each word's
+  // columns by class with bit-sliced counts, then run the pow/threshold
+  // chain once per class.
   float total_weight = 0.0f;
   std::vector<const BitVec*> data_rows;
   std::vector<float> twice_w;
@@ -470,71 +470,84 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
     if (row->size() < columns) full_width = false;
 
   if ((all_equal || two_class) && k <= 63 && full_width) {
-    // Per-column class indices from bit-sliced popcounts.
-    std::vector<std::uint8_t> lead_counts(columns, 0);
-    std::vector<std::uint8_t> tail_counts;
-    const BitVec* odd_row = nullptr;
+    const BitVec* odd_row = two_class ? data_rows[odd_index] : nullptr;
+    const std::size_t n_lead_rows = two_class ? odd_index : k;
+    const std::size_t n_tail_rows = two_class ? k - odd_index - 1 : 0;
     float tw_common = k > 0 ? twice_w[0] : 0.0f;
-    std::size_t n_lead_rows = k;
-    std::size_t n_tail_rows = 0;
-    if (two_class) {
-      odd_row = data_rows[odd_index];
-      tw_common = twice_w[odd_index == 0 ? 1 : 0];
-      n_lead_rows = odd_index;
-      n_tail_rows = k - odd_index - 1;
-      tail_counts.assign(columns, 0);
-      kernels::column_popcounts(
-          std::span<const BitVec* const>(data_rows.data(), n_lead_rows),
-          lead_counts);
-      kernels::column_popcounts(
-          std::span<const BitVec* const>(data_rows.data() + odd_index + 1,
-                                         n_tail_rows),
-          tail_counts);
-    } else if (k > 0) {
-      kernels::column_popcounts(
-          std::span<const BitVec* const>(data_rows.data(), k), lead_counts);
-    }
-
+    if (two_class) tw_common = twice_w[odd_index == 0 ? 1 : 0];
     const float tw_odd = two_class ? twice_w[odd_index] : 0.0f;
     const std::size_t tail_span = n_tail_rows + 1;
     const std::size_t n_classes =
         two_class ? (n_lead_rows + 1) * tail_span * 2 : n_lead_rows + 1;
 
-    // Pass 1: per-column class index, and which classes occur — the only
-    // per-column state the margin math needs. The seen flag is a plain
-    // store, so columns do not chain through a read-modify-write of a
-    // shared counter; columns per class are counted only for the margin
-    // histogram.
-    std::vector<std::int32_t> class_of(columns);
+    // Pass 1: bit-sliced counts of the rows before and after the odd row,
+    // 64 columns per word.
+    const std::size_t n_words = (columns + 63) / 64;
+    const auto lead_planes =
+        static_cast<std::size_t>(std::bit_width(n_lead_rows));
+    const auto tail_planes =
+        static_cast<std::size_t>(std::bit_width(n_tail_rows));
+    std::vector<std::uint64_t> planes((lead_planes + tail_planes) * n_words);
+    const std::span<const BitVec* const> all_rows(data_rows);
+    const std::span<std::uint64_t> all_planes(planes);
+    kernels::count_planes(all_rows.first(n_lead_rows), n_words,
+                          all_planes.first(lead_planes * n_words));
+    kernels::count_planes(all_rows.last(n_tail_rows), n_words,
+                          all_planes.subspan(lead_planes * n_words));
+
+    // Pass 2: split each word's columns by class, from the most
+    // significant plane down, into disjoint (mask, class) parts. A class
+    // index is (lead * tail_span + tail) * 2 + odd bit, or the lead count
+    // alone when all weights are equal. The parts say which classes
+    // occur and, under obs, how many columns each holds.
+    struct Part {
+      std::uint64_t mask;
+      std::uint32_t cls;
+    };
+    std::vector<Part> parts;
+    parts.reserve(n_words * 8);
+    std::vector<std::size_t> word_end(n_words);
     std::vector<std::uint8_t> seen(n_classes, 0);
-    {
-      std::size_t c = 0;
-      for (std::size_t wi = 0; c < columns; ++wi) {
-        const std::uint64_t odd_word =
-            odd_row != nullptr ? odd_row->words()[wi] : 0;
-        const std::size_t limit = std::min<std::size_t>(64, columns - c);
-        for (std::size_t b = 0; b < limit; ++b, ++c) {
-          std::size_t index = lead_counts[c];
-          if (two_class) {
-            const bool odd_set = (odd_word >> b) & 1ULL;
-            index = (index * tail_span + tail_counts[c]) * 2 +
-                    static_cast<std::size_t>(odd_set);
+    std::vector<std::uint64_t> class_count(obs_margins ? n_classes : 0);
+    const auto lead_step =
+        static_cast<std::uint32_t>(two_class ? tail_span * 2 : 1);
+    for (std::size_t wi = 0; wi < n_words; ++wi) {
+      Part local[64];
+      std::size_t n = 1;
+      const std::size_t valid = std::min<std::size_t>(64, columns - wi * 64);
+      local[0] = {valid == 64 ? ~0ULL : (1ULL << valid) - 1, 0};
+      const auto split = [&](std::uint64_t plane, std::uint32_t step) {
+        const std::size_t before = n;
+        for (std::size_t i = 0; i < before; ++i) {
+          const std::uint64_t set = local[i].mask & plane;
+          if (set == 0) continue;
+          if (set != local[i].mask) {
+            local[i].mask &= ~plane;
+            local[n++] = {set, local[i].cls + step};
+          } else {
+            local[i].cls += step;
           }
-          class_of[c] = static_cast<std::int32_t>(index);
-          seen[index] = 1;
         }
+      };
+      for (std::size_t plane = lead_planes; plane-- > 0;)
+        split(planes[plane * n_words + wi], lead_step << plane);
+      for (std::size_t plane = tail_planes; plane-- > 0;)
+        split(planes[(lead_planes + plane) * n_words + wi], 2u << plane);
+      if (odd_row != nullptr) split(odd_row->words()[wi], 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        seen[local[i].cls] = 1;
+        if (obs_margins)
+          class_count[local[i].cls] +=
+              static_cast<std::uint64_t>(std::popcount(local[i].mask));
       }
-    }
-    std::vector<std::uint64_t> class_count;
-    if (obs_margins) {
-      class_count.assign(n_classes, 0);
-      for (const std::int32_t index : class_of)
-        ++class_count[static_cast<std::size_t>(index)];
+      parts.insert(parts.end(), local, local + n);
+      word_end[wi] = parts.size();
     }
 
-    // Pass 2: fold the sums of the realized classes (exact float-add
+    // Pass 3: fold the sums of the realized classes (exact float-add
     // order of the scalar row loop), run the batched margin chain over
-    // them, and scatter the verdicts into the class -> verdict table.
+    // them, and keep each class's verdict with its zg rounded up to a
+    // float, which the float zetas compare against exactly.
     std::vector<std::int32_t> realized;
     realized.reserve(n_classes);
     for (std::size_t idx = 0; idx < n_classes; ++idx)
@@ -570,36 +583,55 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
     std::vector<std::int32_t> dense_flags(realized.size());
     kernels::margin_chain(class_sums, mp, dense_zg, dense_flags);
 
-    std::vector<double> zg_table(n_classes, 0.0);
+    std::vector<float> threshold_table(n_classes, 0.0f);
     std::vector<std::int32_t> flag_table(n_classes, 0);
     for (std::size_t i = 0; i < realized.size(); ++i) {
       const auto idx = static_cast<std::size_t>(realized[i]);
-      zg_table[idx] = dense_zg[i];
+      threshold_table[idx] = kernels::float_threshold(dense_zg[i]);
       flag_table[idx] = dense_flags[i];
       if (obs_margins && (dense_flags[i] & kernels::kClassTie) == 0)
         margins.add(dense_zg[i], class_count[idx]);
     }
     margins.flush();
 
-    // Pass 3: table-driven resolve, then the metastable ties in
-    // ascending column order — the same Rng draw sequence as the scalar
-    // loop, which consumed tie coin flips in column order too.
-    BitVec ties(columns);
-    out.ties = kernels::class_resolve(class_of, zg_table, flag_table, zetas,
-                                      polarities, out.resolved, out.stable,
-                                      ties);
-    if (out.ties != 0) {
-      const auto& tie_words = ties.words();
-      for (std::size_t wi = 0; wi < tie_words.size(); ++wi) {
-        std::uint64_t word = tie_words[wi];
-        const std::size_t base = wi * 64;
-        while (word != 0) {
-          const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-          word &= word - 1;
-          // Perfect tie: the SA resolves metastably.
-          out.resolved.set(base + bit, rng.chance(0.5));
-        }
+    // Pass 4: resolve each word against its parts' verdicts, then flip
+    // the metastable ties in ascending column order — the same Rng draw
+    // sequence as the scalar loop, which consumed tie coin flips in
+    // column order too.
+    std::array<float, 64> zeta_pad{};
+    std::array<float, 64> polarity_pad{};
+    // One parts array for all words: ClassPart's member initializers
+    // would otherwise zero 64 entries per word.
+    kernels::ClassPart word_parts[64];
+    std::size_t first = 0;
+    for (std::size_t wi = 0; wi < n_words; ++wi) {
+      const std::size_t end = word_end[wi];
+      for (std::size_t i = first; i < end; ++i)
+        word_parts[i - first] = {parts[i].mask, threshold_table[parts[i].cls],
+                                 flag_table[parts[i].cls]};
+      const std::size_t base = wi * 64;
+      const float* word_zetas = zetas.data() + base;
+      const float* word_polarities = polarities.data() + base;
+      if (columns - base < 64) {
+        // Partial last word: pad its values out to 64.
+        std::copy(zetas.begin() + base, zetas.end(), zeta_pad.begin());
+        std::copy(polarities.begin() + base, polarities.end(),
+                  polarity_pad.begin());
+        word_zetas = zeta_pad.data();
+        word_polarities = polarity_pad.data();
       }
+      kernels::WordVerdict v = kernels::resolve_word(
+          word_zetas, word_polarities,
+          std::span<const kernels::ClassPart>(word_parts, end - first));
+      first = end;
+      out.ties += static_cast<std::size_t>(std::popcount(v.ties));
+      for (std::uint64_t tie = v.ties; tie != 0; tie &= tie - 1) {
+        // Perfect tie: the SA resolves metastably.
+        v.resolved |= static_cast<std::uint64_t>(rng.chance(0.5))
+                      << std::countr_zero(tie);
+      }
+      out.resolved.set_word(wi, v.resolved);
+      out.stable.set_word(wi, v.stable);
     }
     return out;
   }

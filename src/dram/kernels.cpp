@@ -4,7 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -173,39 +173,21 @@ std::size_t lag8_disagreement(const BitVec& v, std::size_t& total) {
   return disagree;
 }
 
-void column_popcounts(std::span<const BitVec* const> rows,
-                      std::span<std::uint8_t> counts) {
-  if (rows.size() > 63)
-    throw std::invalid_argument("column_popcounts supports up to 63 rows");
-  const std::size_t columns = counts.size();
-  for (const BitVec* row : rows)
-    if (row->size() < columns)
-      throw std::invalid_argument("column_popcounts row narrower than counts");
-  const bool use_avx2 = active_simd() == SimdTier::avx2;
-  const std::size_t n_words = (columns + kWordBits - 1) / kWordBits;
-  for (std::size_t wi = 0; wi < n_words; ++wi) {
-    // Bit-sliced accumulation: six planes count up to 63 rows.
-    std::uint64_t planes[6] = {0, 0, 0, 0, 0, 0};
-    for (const BitVec* row : rows) bitslice_add(planes, row->words()[wi]);
-    const std::size_t base = wi * kWordBits;
-    const std::size_t limit = std::min(kWordBits, columns - base);
-    if (use_avx2) {
-      // Vectorized bit -> byte expansion of the six planes.
-      if (limit == kWordBits) {
-        avx2::column_counts_word(planes, counts.data() + base);
-      } else {
-        std::uint8_t tail[kWordBits];
-        avx2::column_counts_word(planes, tail);
-        std::memcpy(counts.data() + base, tail, limit);
-      }
-      continue;
-    }
-    for (std::size_t b = 0; b < limit; ++b) {
-      std::uint8_t count = 0;
-      for (int p = 0; p < 6; ++p)
-        count |= static_cast<std::uint8_t>((planes[p] >> b) & 1ULL) << p;
-      counts[base + b] = count;
-    }
+void count_planes(std::span<const BitVec* const> rows, std::size_t words,
+                  std::span<std::uint64_t> planes) {
+  const auto n_planes = static_cast<std::size_t>(std::bit_width(rows.size()));
+  if (n_planes > 6 || planes.size() < n_planes * words)
+    throw std::invalid_argument("count_planes: > 63 rows or too few planes");
+  // The AVX2 tier takes the words in groups of four; the rest run here.
+  std::size_t wi = 0;
+  if (active_simd() == SimdTier::avx2)
+    wi = avx2::count_planes_quads(rows, words, planes);
+  std::uint64_t acc[6];
+  for (; wi < words; ++wi) {
+    std::fill_n(acc, n_planes, 0);
+    for (const BitVec* row : rows)
+      bitslice_add(std::span(acc, n_planes), row->words()[wi]);
+    for (std::size_t p = 0; p < n_planes; ++p) planes[p * words + wi] = acc[p];
   }
 }
 
@@ -265,46 +247,37 @@ void margin_chain(std::span<const float> sums, const MarginChainParams& p,
   }
 }
 
-std::size_t class_resolve(std::span<const std::int32_t> class_of,
-                          std::span<const double> zg,
-                          std::span<const std::int32_t> flags,
-                          std::span<const float> zetas,
-                          std::span<const float> polarities, BitVec& resolved,
-                          BitVec& stable, BitVec& ties) {
-  const std::size_t n = class_of.size();
-  if (zetas.size() < n || polarities.size() < n)
-    throw std::invalid_argument("class_resolve deviate span too short");
-  std::size_t n_ties = 0;
-  if (active_simd() == SimdTier::avx2) {
-    n_ties = avx2::class_resolve(class_of, zg, flags, zetas, polarities,
-                                 resolved, stable, ties);
-    return n_ties;
-  }
-  std::size_t c = 0;
-  for (std::size_t wi = 0; c < n; ++wi) {
-    std::uint64_t resolved_word = 0;
-    std::uint64_t stable_word = 0;
-    std::uint64_t tie_word = 0;
-    const std::size_t limit = std::min(kWordBits, n - c);
-    for (std::size_t b = 0; b < limit; ++b, ++c) {
-      const auto cls = static_cast<std::size_t>(class_of[c]);
-      if ((flags[cls] & kClassTie) != 0) {
-        tie_word |= 1ULL << b;
-        ++n_ties;
-      } else if (zg[cls] > zetas[c]) {
-        resolved_word |=
-            static_cast<std::uint64_t>((flags[cls] & kClassMajorityOne) != 0)
-            << b;
-        stable_word |= 1ULL << b;
-      } else {
-        resolved_word |= static_cast<std::uint64_t>(polarities[c] > 0.0f) << b;
-      }
+float float_threshold(double zg) noexcept {
+  const auto t = static_cast<float>(zg);
+  return static_cast<double>(t) < zg
+             ? std::nextafter(t, std::numeric_limits<float>::infinity())
+             : t;
+}
+
+WordVerdict resolve_word(const float* zetas, const float* polarities,
+                         std::span<const ClassPart> parts) {
+  if (active_simd() == SimdTier::avx2)
+    return avx2::resolve_word(zetas, polarities, parts);
+  WordVerdict v;
+  std::uint64_t majority = 0;
+  for (const ClassPart& part : parts) {
+    if ((part.flags & kClassTie) != 0) {
+      v.ties |= part.mask;
+      continue;
     }
-    resolved.set_word(wi, resolved_word);
-    stable.set_word(wi, stable_word);
-    ties.set_word(wi, tie_word);
+    std::uint64_t stable = 0;
+    for (std::uint64_t m = part.mask; m != 0; m &= m - 1) {
+      const int b = std::countr_zero(m);
+      stable |= static_cast<std::uint64_t>(zetas[b] < part.threshold) << b;
+    }
+    v.stable |= stable;
+    if ((part.flags & kClassMajorityOne) != 0) majority |= stable;
   }
-  return n_ties;
+  std::uint64_t positive = 0;
+  for (std::size_t b = 0; b < kWordBits; ++b)
+    positive |= static_cast<std::uint64_t>(polarities[b] > 0.0f) << b;
+  v.resolved = majority | (positive & ~v.stable & ~v.ties);
+  return v;
 }
 
 }  // namespace simra::dram::kernels

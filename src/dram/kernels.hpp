@@ -61,11 +61,14 @@ BitVec offset_noise_mask(std::span<const float> offsets,
 /// contribute nothing (mirrors the scalar guard).
 std::size_t lag8_disagreement(const BitVec& v, std::size_t& total);
 
-/// Per-column popcount across up to 63 equally sized rows, bit-sliced:
-/// counts[c] = number of `rows` with bit c set. `counts` must hold
-/// columns entries and is overwritten.
-void column_popcounts(std::span<const BitVec* const> rows,
-                      std::span<std::uint8_t> counts);
+/// Bit-sliced per-column counts of up to 63 rows over their first
+/// `words` words: bit b of planes[p * words + wi] is bit p of the number
+/// of `rows` whose word wi has bit b set. `planes` must hold
+/// bit_width(rows.size()) * words entries and is overwritten; every row
+/// must hold at least `words` words. The AVX2 tier adds four words per
+/// step; the scalar tier calls bitslice_add once per row and word.
+void count_planes(std::span<const BitVec* const> rows, std::size_t words,
+                  std::span<std::uint64_t> planes);
 
 /// out[i] = float(inverse_normal_cdf(uniform(hash_combine(prefix, i)))) —
 /// the batched hashed-normal evaluation behind
@@ -121,20 +124,38 @@ inline constexpr std::int32_t kClassMajorityOne = 2;  ///< sum > 0.
 void margin_chain(std::span<const float> sums, const MarginChainParams& p,
                   std::span<double> zg, std::span<std::int32_t> flags);
 
-/// Resolves every column against a class -> verdict table: with
-/// cls = class_of[c],
-///   flags[cls] tie        -> ties bit c set (caller resolves tie columns
-///                            afterwards, in ascending column order),
-///   zg[cls] > zetas[c]    -> resolved = majority bit, stable bit set,
-///   otherwise             -> resolved = (polarities[c] > 0).
-/// The masks are overwritten and must be pre-sized to class_of.size();
-/// returns the number of tie columns. Exactly the per-column branch
-/// sequence of the scalar resolve loop, table-driven and word-packed.
-std::size_t class_resolve(std::span<const std::int32_t> class_of,
-                          std::span<const double> zg,
-                          std::span<const std::int32_t> flags,
-                          std::span<const float> zetas,
-                          std::span<const float> polarities, BitVec& resolved,
-                          BitVec& stable, BitVec& ties);
+/// The smallest float >= zg, so that for every float zeta
+///   zeta < float_threshold(zg)  <=>  double(zeta) < zg,
+/// the resolve compare of the scalar loop: the float below the result is
+/// < zg, and the result itself is >= zg. A zg above FLT_MAX maps to
+/// +inf, a NaN to NaN.
+float float_threshold(double zg) noexcept;
+
+/// One weight class's columns of a 64-column word and the class's
+/// margin_chain verdict.
+struct ClassPart {
+  std::uint64_t mask = 0;  ///< the word's columns in this class.
+  float threshold = 0.0f;  ///< float_threshold of the class's zg.
+  std::int32_t flags = 0;  ///< kClassTie / kClassMajorityOne.
+};
+
+/// Sense-amplifier verdicts of one 64-column word.
+struct WordVerdict {
+  std::uint64_t resolved = 0;
+  std::uint64_t stable = 0;
+  std::uint64_t ties = 0;
+};
+
+/// Resolves one 64-column word whose columns are split into disjoint
+/// class parts, the per-column branch of the scalar resolve loop:
+///   tie class                 -> ties bit (resolved 0; the caller flips
+///                                the coins in ascending column order),
+///   zetas[b] < threshold      -> stable, resolved = majority bit,
+///   otherwise                 -> resolved = (polarities[b] > 0).
+/// `zetas` and `polarities` point at the word's 64 values. A column in
+/// no part resolves by polarity. The AVX2 tier loads the 64 zetas once
+/// and runs one 8-lane compare per part.
+WordVerdict resolve_word(const float* zetas, const float* polarities,
+                         std::span<const ClassPart> parts);
 
 }  // namespace simra::dram::kernels

@@ -169,30 +169,31 @@ std::size_t lag8_full_words(const std::uint64_t* words, std::size_t count) {
   return disagree;
 }
 
-void column_counts_word(const std::uint64_t planes[6], std::uint8_t* out) {
-  // Byte replication control: lane 0 spreads chunk bytes 0/1 over byte
-  // positions 0-15, lane 1 spreads chunk bytes 2/3 (which set1_epi32 also
-  // placed at lane-local indices 2/3) over positions 16-31.
-  const __m256i sel = _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0,  //
-                                       1, 1, 1, 1, 1, 1, 1, 1,  //
-                                       2, 2, 2, 2, 2, 2, 2, 2,  //
-                                       3, 3, 3, 3, 3, 3, 3, 3);
-  const __m256i bit_of_byte =
-      _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
-  for (int chunk = 0; chunk < 2; ++chunk) {
-    __m256i acc = _mm256_setzero_si256();
-    for (int p = 0; p < 6; ++p) {
-      const auto piece =
-          static_cast<std::uint32_t>(planes[p] >> (32 * chunk));
-      __m256i v = _mm256_set1_epi32(static_cast<int>(piece));
-      v = _mm256_shuffle_epi8(v, sel);
-      v = _mm256_and_si256(v, bit_of_byte);
-      v = _mm256_cmpeq_epi8(v, bit_of_byte);
-      v = _mm256_and_si256(v, _mm256_set1_epi8(static_cast<char>(1 << p)));
-      acc = _mm256_or_si256(acc, v);
+std::size_t count_planes_quads(std::span<const BitVec* const> rows,
+                               std::size_t words,
+                               std::span<std::uint64_t> planes) {
+  const auto n_planes = static_cast<std::size_t>(std::bit_width(rows.size()));
+  std::size_t wi = 0;
+  for (; wi + 4 <= words; wi += 4) {
+    // bitslice_add on four words at once, with the same early exit once
+    // no lane carries any more.
+    __m256i acc[6];
+    for (std::size_t p = 0; p < n_planes; ++p) acc[p] = _mm256_setzero_si256();
+    for (const BitVec* row : rows) {
+      __m256i carry = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(row->words().data() + wi));
+      for (std::size_t p = 0;
+           p < n_planes && _mm256_testz_si256(carry, carry) == 0; ++p) {
+        const __m256i prev = acc[p];
+        acc[p] = _mm256_xor_si256(prev, carry);
+        carry = _mm256_and_si256(carry, prev);
+      }
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 32 * chunk), acc);
+    for (std::size_t p = 0; p < n_planes; ++p)
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(planes.data() + p * words + wi), acc[p]);
   }
+  return wi;
 }
 
 void hashed_normal_fill(std::uint64_t prefix, std::span<float> out) {
@@ -426,79 +427,38 @@ void margin_chain(std::span<const float> sums, const MarginChainParams& p,
   }
 }
 
-std::size_t class_resolve(std::span<const std::int32_t> class_of,
-                          std::span<const double> zg,
-                          std::span<const std::int32_t> flags,
-                          std::span<const float> zetas,
-                          std::span<const float> polarities, BitVec& resolved,
-                          BitVec& stable, BitVec& ties) {
-  const std::size_t n = class_of.size();
-  const __m128 zero_ps = _mm_setzero_ps();
-  std::size_t n_ties = 0;
-  std::size_t c = 0;
-  std::size_t wi = 0;
-  for (; n - c >= kWordBits; ++wi, c += kWordBits) {
-    std::uint64_t resolved_word = 0;
-    std::uint64_t stable_word = 0;
-    std::uint64_t tie_word = 0;
-    for (int g4 = 0; g4 < 16; ++g4) {
-      const std::size_t base = c + 4 * static_cast<std::size_t>(g4);
-      const __m128i idx = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(class_of.data() + base));
-      // Gathered class table: zg (double) and flags per column.
-      const __m256d zg4 = _mm256_i32gather_pd(zg.data(), idx, 8);
-      const __m128i fl4 = _mm_i32gather_epi32(flags.data(), idx, 4);
-      // Same compare as scalar: double zg against the float zeta widened
-      // to double.
-      const __m256d zeta4 =
-          _mm256_cvtps_pd(_mm_loadu_ps(zetas.data() + base));
-      const auto gt = static_cast<unsigned>(
-          _mm256_movemask_pd(_mm256_cmp_pd(zg4, zeta4, _CMP_GT_OQ)));
-      // Flag bits to lane masks: shift the wanted bit into the sign.
-      const auto tie = static_cast<unsigned>(
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_slli_epi32(fl4, 31))));
-      const auto maj = static_cast<unsigned>(
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_slli_epi32(fl4, 30))));
-      const auto pol = static_cast<unsigned>(_mm_movemask_ps(_mm_cmp_ps(
-          _mm_loadu_ps(polarities.data() + base), zero_ps, _CMP_GT_OQ)));
-      const unsigned resolved_bits =
-          ((maj & gt) | (pol & ~gt)) & ~tie & 0xFu;
-      const unsigned stable_bits = gt & ~tie & 0xFu;
-      const unsigned tie_bits = tie & 0xFu;
-      const int shift = 4 * g4;
-      resolved_word |= static_cast<std::uint64_t>(resolved_bits) << shift;
-      stable_word |= static_cast<std::uint64_t>(stable_bits) << shift;
-      tie_word |= static_cast<std::uint64_t>(tie_bits) << shift;
+WordVerdict resolve_word(const float* zetas, const float* polarities,
+                         std::span<const ClassPart> parts) {
+  __m256 z[8];
+  for (int k = 0; k < 8; ++k) z[k] = _mm256_loadu_ps(zetas + 8 * k);
+  WordVerdict v;
+  std::uint64_t majority = 0;
+  for (const ClassPart& part : parts) {
+    if ((part.flags & kClassTie) != 0) {
+      v.ties |= part.mask;
+      continue;
     }
-    resolved.set_word(wi, resolved_word);
-    stable.set_word(wi, stable_word);
-    ties.set_word(wi, tie_word);
-    n_ties += static_cast<std::size_t>(std::popcount(tie_word));
+    // Same compare as scalar: zeta < threshold on floats, false on NaN.
+    const __m256 t = _mm256_set1_ps(part.threshold);
+    std::uint64_t below = 0;
+    for (int k = 0; k < 8; ++k)
+      below |= static_cast<std::uint64_t>(static_cast<unsigned>(
+                   _mm256_movemask_ps(_mm256_cmp_ps(z[k], t, _CMP_LT_OQ))))
+               << (8 * k);
+    const std::uint64_t stable = below & part.mask;
+    v.stable |= stable;
+    if ((part.flags & kClassMajorityOne) != 0) majority |= stable;
   }
-  if (c < n) {
-    // Boundary word: the exact scalar branch sequence.
-    std::uint64_t resolved_word = 0;
-    std::uint64_t stable_word = 0;
-    std::uint64_t tie_word = 0;
-    for (std::size_t b = 0; c < n; ++b, ++c) {
-      const auto cls = static_cast<std::size_t>(class_of[c]);
-      if ((flags[cls] & kClassTie) != 0) {
-        tie_word |= 1ULL << b;
-        ++n_ties;
-      } else if (zg[cls] > zetas[c]) {
-        resolved_word |=
-            static_cast<std::uint64_t>((flags[cls] & kClassMajorityOne) != 0)
-            << b;
-        stable_word |= 1ULL << b;
-      } else {
-        resolved_word |= static_cast<std::uint64_t>(polarities[c] > 0.0f) << b;
-      }
-    }
-    resolved.set_word(wi, resolved_word);
-    stable.set_word(wi, stable_word);
-    ties.set_word(wi, tie_word);
-  }
-  return n_ties;
+  const __m256 zero = _mm256_setzero_ps();
+  std::uint64_t positive = 0;
+  for (int k = 0; k < 8; ++k)
+    positive |= static_cast<std::uint64_t>(static_cast<unsigned>(
+                    _mm256_movemask_ps(_mm256_cmp_ps(
+                        _mm256_loadu_ps(polarities + 8 * k), zero,
+                        _CMP_GT_OQ))))
+                << (8 * k);
+  v.resolved = majority | (positive & ~v.stable & ~v.ties);
+  return v;
 }
 
 void hashed_uniform_fill(std::uint64_t prefix, std::span<float> out) {
@@ -559,7 +519,8 @@ void offset_noise_mask(std::span<const float>, std::span<const double>,
 std::size_t lag8_full_words(const std::uint64_t*, std::size_t) {
   std::abort();
 }
-void column_counts_word(const std::uint64_t[6], std::uint8_t*) {
+std::size_t count_planes_quads(std::span<const BitVec* const>, std::size_t,
+                               std::span<std::uint64_t>) {
   std::abort();
 }
 void hashed_normal_fill(std::uint64_t, std::span<float>) { std::abort(); }
@@ -571,11 +532,8 @@ void margin_chain(std::span<const float>, const MarginChainParams&,
                   std::span<double>, std::span<std::int32_t>) {
   std::abort();
 }
-std::size_t class_resolve(std::span<const std::int32_t>,
-                          std::span<const double>,
-                          std::span<const std::int32_t>,
-                          std::span<const float>, std::span<const float>,
-                          BitVec&, BitVec&, BitVec&) {
+WordVerdict resolve_word(const float*, const float*,
+                         std::span<const ClassPart>) {
   std::abort();
 }
 

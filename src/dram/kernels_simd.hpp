@@ -6,7 +6,9 @@
 #include "common/bitvec.hpp"
 
 namespace simra::dram::kernels {
+struct ClassPart;
 struct MarginChainParams;
+struct WordVerdict;
 }
 
 /// Internal interface between the dispatching kernels (kernels.cpp) and
@@ -45,9 +47,12 @@ void offset_noise_mask(std::span<const float> offsets,
 /// lag8_disagreement (the boundary word stays with the caller).
 std::size_t lag8_full_words(const std::uint64_t* words, std::size_t count);
 
-/// Expands the six bit-planes of one 64-column word into 64 per-column
-/// counts: out[b] = sum_p ((planes[p] >> b) & 1) << p.
-void column_counts_word(const std::uint64_t planes[6], std::uint8_t* out);
+/// The four-word groups of kernels::count_planes: the ripple-carry plane
+/// add on four words per step. Returns the words done (a multiple of 4);
+/// the caller counts the rest.
+std::size_t count_planes_quads(std::span<const BitVec* const> rows,
+                               std::size_t words,
+                               std::span<std::uint64_t> planes);
 
 /// Vectorized body of kernels::hashed_normal_fill (4 lanes of splitmix64,
 /// uniform mapping, and the inverse-CDF central branch; tail-probability
@@ -69,14 +74,9 @@ void counter_normal_fill(std::uint64_t prefix, std::uint64_t base,
 void margin_chain(std::span<const float> sums, const MarginChainParams& p,
                   std::span<double> zg, std::span<std::int32_t> flags);
 
-/// Vectorized body of kernels::class_resolve (gathered class table,
-/// double compare against the zeta deviates, word-packed masks). Returns
-/// the tie-column count.
-std::size_t class_resolve(std::span<const std::int32_t> class_of,
-                          std::span<const double> zg,
-                          std::span<const std::int32_t> flags,
-                          std::span<const float> zetas,
-                          std::span<const float> polarities, BitVec& resolved,
-                          BitVec& stable, BitVec& ties);
+/// Vectorized body of kernels::resolve_word (the 64 zetas loaded once,
+/// one 8-lane float compare per class part).
+WordVerdict resolve_word(const float* zetas, const float* polarities,
+                         std::span<const ClassPart> parts);
 
 }  // namespace simra::dram::kernels::avx2

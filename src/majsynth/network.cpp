@@ -1,7 +1,11 @@
 #include "majsynth/network.hpp"
 
+#include <array>
 #include <bit>
+#include <span>
 #include <stdexcept>
+
+#include "common/bitvec.hpp"
 
 namespace simra::majsynth {
 
@@ -100,15 +104,13 @@ std::vector<std::uint64_t> Network::evaluate(
         value[i] = ~value[static_cast<std::size_t>(g.inputs[0])];
         break;
       case GateKind::kMaj: {
-        const std::size_t half = g.inputs.size() / 2;
-        std::uint64_t out = 0;
-        for (int bit = 0; bit < 64; ++bit) {
-          std::size_t ones = 0;
-          for (int in : g.inputs)
-            ones += (value[static_cast<std::size_t>(in)] >> bit) & 1ULL;
-          if (ones > half) out |= 1ULL << bit;
-        }
-        value[i] = out;
+        std::array<std::uint64_t, 64> storage{};
+        const std::span<std::uint64_t> planes(
+            storage.data(),
+            static_cast<std::size_t>(std::bit_width(g.inputs.size())));
+        for (int in : g.inputs)
+          bitslice_add(planes, value[static_cast<std::size_t>(in)]);
+        value[i] = bitslice_greater(planes, g.inputs.size() / 2);
         break;
       }
     }

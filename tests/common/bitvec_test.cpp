@@ -115,9 +115,10 @@ TEST(BitVec, MajorityMatchesPerBitCount) {
         ASSERT_EQ(maj.get(i), ones > x / 2)
             << "X " << x << " width " << width << " bit " << i;
       }
-      if (width % 64 != 0)
+      if (width % 64 != 0) {
         EXPECT_EQ(maj.words().back() >> (width % 64), 0u)
             << "X " << x << " width " << width;
+      }
     }
   }
 }

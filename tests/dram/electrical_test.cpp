@@ -254,14 +254,17 @@ TEST_F(ElectricalTest, LatchedMaskMatchesScalarBitlineLatched) {
 TEST_F(ElectricalTest, ClassPassKeepsResolveAndMarginHistogram) {
   // Six seeded random rows plus 26 Frac rows (which spread the margins
   // over several buckets), in the two weight shapes the class path takes:
-  // all weights equal, and the middle row three times as heavy (lead and
-  // tail counts both in play). Both shapes have tie columns. The resolve
-  // and the Rng draws it consumes must not depend on whether margins are
-  // recorded. The recorded sense-margin histogram counts every non-tie
-  // column once, and its buckets and sum are pinned.
-  const std::size_t columns = profile_.geometry.columns;
+  // all weights equal, and one odd-weight row among equals (lead and
+  // tail counts both in play), with the odd row third or fifth in the
+  // list. The last shape also resolves a width that is not a multiple of
+  // 64 over the same full-width rows, so the bits past the last column
+  // must not count. Every shape has tie columns. The resolve and the Rng
+  // draws it consumes must not depend on whether margins are recorded.
+  // The recorded sense-margin histogram counts every non-tie column
+  // once, and its buckets and sum are pinned.
+  const std::size_t row_bits = profile_.geometry.columns;
   Rng data_rng(2312);
-  std::vector<BitVec> data(6, BitVec(columns));
+  std::vector<BitVec> data(6, BitVec(row_bits));
   for (BitVec& d : data) d.randomize(data_rng);
   const ApaDecision apa =
       model_.classify_apa(Nanoseconds{1.5}, Nanoseconds{3.0});
@@ -277,6 +280,8 @@ TEST_F(ElectricalTest, ClassPassKeepsResolveAndMarginHistogram) {
     std::uint64_t next_draw;
     std::array<std::uint64_t, 12> buckets;
     double sum;
+    std::size_t odd_row = 2;  ///< data row that carries middle_weight.
+    std::size_t columns = 0;  ///< resolved width; 0 = the whole row.
   };
   const Pinned shapes[] = {
       {1.0, 0xf965977bb1f46a27ULL, 933, 2573, 0x0d3c4ca3aa663971ULL,
@@ -285,22 +290,33 @@ TEST_F(ElectricalTest, ClassPassKeepsResolveAndMarginHistogram) {
       {3.0, 0x38b6eb9c1757ea72ULL, 2719, 1249, 0x36017dc2c1f818cfULL,
        {0, 2812, 0, 0, 0, 2642, 0, 0, 0, 0, 1249, 240},
        -0x1.2a9214f3a6178p+12},
+      {5.0, 0xdb4821aa06448a44ULL, 5165, 241, 0x62f0cdfbf8495649ULL,
+       {0, 1368, 0, 0, 0, 2573, 0, 0, 0, 0, 2523, 1487},
+       0x1.c99a7e3c59066p+12, 4},
+      {3.0, 0x9263acc0c49dfa7bULL, 343, 148, 0x6f9b5bf049746967ULL,
+       {0, 336, 0, 0, 0, 327, 0, 0, 0, 0, 160, 29},
+       -0x1.11f5d9be9cc18p+9, 2, 1000},
   };
   for (const Pinned& want : shapes) {
+    BitlineContext context = ctx();
+    if (want.columns != 0) context.columns = want.columns;
+    const std::size_t columns = context.columns;
     std::vector<ConnectedRow> rows;
     for (std::size_t i = 0; i < data.size(); ++i)
       rows.push_back({static_cast<RowAddr>(i), &data[i],
-                      i == 2 ? want.middle_weight : 1.0});
+                      i == want.odd_row ? want.middle_weight : 1.0});
     for (std::size_t i = data.size(); i < 32; ++i)
       rows.push_back({static_cast<RowAddr>(i), nullptr, 1.0});
     for (const bool record : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "weight " << want.middle_weight
-                                      << " obs " << record);
+      SCOPED_TRACE(testing::Message()
+                   << "weight " << want.middle_weight << " at row "
+                   << want.odd_row << ", " << columns << " columns, obs "
+                   << record);
       obs::set_enabled_for_test(record);
       hist.reset();
       Rng rng(7);
       const ChargeShareResult r = model_.resolve_charge_share(
-          ctx(), rows, 0.25, EnvironmentState{}, apa, rng);
+          context, rows, 0.25, EnvironmentState{}, apa, rng);
       const std::uint64_t next_draw = rng();
       obs::set_enabled_for_test(std::nullopt);
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -103,39 +105,58 @@ TEST(KernelsTest, Lag8DisagreementMatchesScalar) {
   }
 }
 
-TEST(KernelsTest, ColumnPopcountsMatchesScalar) {
-  for (std::size_t n : kSizes) {
-    for (std::size_t n_rows : {std::size_t{1}, std::size_t{5},
-                               std::size_t{32}, std::size_t{63}}) {
-      Rng rng(n + 7 * n_rows);
-      std::vector<BitVec> rows(n_rows, BitVec(n));
-      for (auto& r : rows) {
-        if (n > 0) r.randomize(rng);
-      }
+// The plane kernel's reference: bitslice_add of every row, word by word.
+std::vector<std::uint64_t> reference_planes(const std::vector<BitVec>& rows,
+                                            std::size_t words) {
+  const auto n_planes = static_cast<std::size_t>(std::bit_width(rows.size()));
+  std::vector<std::uint64_t> planes(n_planes * words);
+  std::vector<std::uint64_t> acc(n_planes);
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    std::fill(acc.begin(), acc.end(), 0);
+    for (const BitVec& row : rows) bitslice_add(acc, row.words()[wi]);
+    for (std::size_t p = 0; p < n_planes; ++p) planes[p * words + wi] = acc[p];
+  }
+  return planes;
+}
+
+// Word counts straddle the AVX2 tier's four-word step; the rows are one
+// word wider than counted, so nothing past `words` may be read.
+constexpr std::size_t kPlaneWords[] = {0, 1, 3, 4, 5, 128};
+constexpr std::size_t kPlaneRows[] = {0, 1, 2, 31, 32, 63};
+
+std::vector<BitVec> random_rows(std::size_t n_rows, std::size_t words,
+                                std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<BitVec> rows(n_rows, BitVec((words + 1) * 64));
+  for (auto& r : rows) r.randomize(rng);
+  return rows;
+}
+
+TEST(KernelsTest, CountPlanesMatchesBitsliceAdd) {
+  for (std::size_t words : kPlaneWords) {
+    for (std::size_t n_rows : kPlaneRows) {
+      const auto rows = random_rows(n_rows, words, words + 7 * n_rows);
       std::vector<const BitVec*> ptrs;
       for (const auto& r : rows) ptrs.push_back(&r);
-      std::vector<std::uint8_t> counts(n);
-      kernels::column_popcounts(ptrs, counts);
-      for (std::size_t c = 0; c < n; ++c) {
-        std::uint8_t want = 0;
-        for (const auto& r : rows) want += r.get(c) ? 1 : 0;
-        ASSERT_EQ(counts[c], want) << "n=" << n << " rows=" << n_rows
-                                   << " c=" << c;
-      }
+      std::vector<std::uint64_t> planes(
+          static_cast<std::size_t>(std::bit_width(n_rows)) * words, ~0ULL);
+      kernels::count_planes(ptrs, words, planes);
+      EXPECT_EQ(planes, reference_planes(rows, words))
+          << "words=" << words << " rows=" << n_rows;
     }
   }
 }
 
-TEST(KernelsTest, ColumnPopcountsRejectsBadShapes) {
-  std::vector<BitVec> rows(64, BitVec(8));
+TEST(KernelsTest, CountPlanesRejectsBadShapes) {
+  const auto rows = random_rows(64, 1, 3);
   std::vector<const BitVec*> ptrs;
   for (const auto& r : rows) ptrs.push_back(&r);
-  std::vector<std::uint8_t> counts(8);
-  EXPECT_THROW(kernels::column_popcounts(ptrs, counts),
+  std::vector<std::uint64_t> planes(7);
+  EXPECT_THROW(kernels::count_planes(ptrs, 1, planes),
                std::invalid_argument);  // > 63 rows.
   ptrs.resize(3);
-  counts.resize(9);  // wider than the 8-bit rows.
-  EXPECT_THROW(kernels::column_popcounts(ptrs, counts),
+  planes.resize(3);  // 3 rows over 2 words need 2 planes x 2 words.
+  EXPECT_THROW(kernels::count_planes(ptrs, 2, planes),
                std::invalid_argument);
 }
 
@@ -296,97 +317,159 @@ TEST(KernelsTest, MarginChainRejectsSizeMismatch) {
       std::invalid_argument);
 }
 
-// Scalar class_resolve reference: the per-column branch of the original
-// resolve loop.
-std::size_t scalar_class_resolve(std::span<const std::int32_t> class_of,
-                                 std::span<const double> zg,
-                                 std::span<const std::int32_t> flags,
-                                 std::span<const float> zetas,
-                                 std::span<const float> polarities,
-                                 BitVec& resolved, BitVec& stable,
-                                 BitVec& ties) {
-  std::size_t n_ties = 0;
-  for (std::size_t c = 0; c < class_of.size(); ++c) {
-    const auto cls = static_cast<std::size_t>(class_of[c]);
-    if ((flags[cls] & kernels::kClassTie) != 0) {
-      ties.set(c, true);
-      ++n_ties;
-    } else if (zg[cls] > zetas[c]) {
-      resolved.set(c, (flags[cls] & kernels::kClassMajorityOne) != 0);
-      stable.set(c, true);
-    } else {
-      resolved.set(c, polarities[c] > 0.0f);
-    }
+TEST(KernelsTest, FloatThresholdBracketsTheDouble) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(77);
+  for (int i = 0; i < 20000; ++i) {
+    // Magnitudes from 1e-30 to 1e30, both signs, plus exact floats.
+    double zg = rng.normal() * std::pow(10.0, rng.uniform(-30.0, 30.0));
+    if (i % 7 == 0) zg = static_cast<float>(zg);
+    const float t = kernels::float_threshold(zg);
+    const float below = std::nextafter(t, -kInf);
+    ASSERT_GE(static_cast<double>(t), zg) << std::hexfloat << zg;
+    ASSERT_LT(static_cast<double>(below), zg) << std::hexfloat << zg;
+    // The resolve compare on floats equals the double compare.
+    for (const float zeta : {below, t, std::nextafter(t, kInf)})
+      ASSERT_EQ(zeta < t, static_cast<double>(zeta) < zg)
+          << std::hexfloat << zg << " zeta " << zeta;
   }
-  return n_ties;
+  constexpr float kMax = std::numeric_limits<float>::max();
+  EXPECT_EQ(kernels::float_threshold(kMax), kMax);
+  EXPECT_EQ(kernels::float_threshold(std::nextafter(double{kMax}, 0.0)), kMax);
+  EXPECT_EQ(kernels::float_threshold(std::nextafter(double{kMax}, 1e300)),
+            kInf);
+  EXPECT_EQ(kernels::float_threshold(1e300), kInf);
+  EXPECT_EQ(kernels::float_threshold(-1e300), -kMax);
+  EXPECT_EQ(kernels::float_threshold(HUGE_VAL), kInf);
+  EXPECT_EQ(kernels::float_threshold(-HUGE_VAL), -kInf);
+  EXPECT_TRUE(std::isnan(kernels::float_threshold(std::nan(""))));
+  EXPECT_EQ(kernels::float_threshold(0x1.000001p0), 0x1.000002p0f);
+  EXPECT_EQ(kernels::float_threshold(-0x1.000001p0), -0x1.0p0f);
 }
 
-struct ClassResolveCase {
-  std::vector<std::int32_t> class_of;
+// One row of resolve_word inputs: a class table in the margin chain's
+// double precision, and per column its class (-1: in no part), zeta and
+// polarity.
+struct ResolveCase {
   std::vector<double> zg;
   std::vector<std::int32_t> flags;
+  std::vector<std::int32_t> class_of;
   std::vector<float> zetas;
   std::vector<float> polarities;
 };
 
-ClassResolveCase make_class_resolve_case(std::size_t n, std::uint64_t seed) {
-  ClassResolveCase cs;
-  Rng rng(seed);
+// Class 3 and 8 are ties, class 5 has a zg above FLT_MAX, class 6 a zg
+// that is exactly a float. Zetas sit on their class's zg rounded to a
+// float, one ulp to either side, or anywhere.
+ResolveCase make_resolve_case(std::size_t words, std::uint64_t seed) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
   constexpr std::size_t kClasses = 12;
+  ResolveCase cs;
+  Rng rng(seed);
   cs.zg.resize(kClasses);
   cs.flags.resize(kClasses);
   for (std::size_t i = 0; i < kClasses; ++i) {
+    cs.zg[i] = rng.normal();
+    cs.flags[i] = rng.chance(0.5) ? kernels::kClassMajorityOne : 0;
     if (i % 5 == 3) {
       cs.flags[i] = kernels::kClassTie;
       cs.zg[i] = 0.0;
-    } else {
-      cs.flags[i] = rng.chance(0.5) ? kernels::kClassMajorityOne : 0;
-      cs.zg[i] = rng.normal();
     }
   }
+  cs.zg[5] = 1e39;
+  cs.zg[6] = static_cast<float>(cs.zg[6]);
+  const std::size_t n = words * 64;
   cs.class_of.resize(n);
   cs.zetas.resize(n);
   cs.polarities.resize(n);
   for (std::size_t c = 0; c < n; ++c) {
-    cs.class_of[c] = static_cast<std::int32_t>(rng.below(kClasses));
-    cs.zetas[c] = static_cast<float>(rng.normal());
-    cs.polarities[c] = static_cast<float>(rng.normal());
+    const auto cls = static_cast<std::int32_t>(rng.below(kClasses + 1)) - 1;
+    cs.class_of[c] = cls;
+    const float near = static_cast<float>(cs.zg[cls < 0 ? 0 : cls]);
+    switch (rng.below(4)) {
+      case 0: cs.zetas[c] = near; break;
+      case 1: cs.zetas[c] = std::nextafter(near, kInf); break;
+      case 2: cs.zetas[c] = std::nextafter(near, -kInf); break;
+      default: cs.zetas[c] = static_cast<float>(rng.normal()); break;
+    }
+    cs.polarities[c] = rng.chance(0.1) ? 0.0f : static_cast<float>(rng.normal());
   }
   return cs;
 }
 
-TEST(KernelsTest, ClassResolveMatchesScalar) {
-  for (std::size_t n : kSizes) {
-    const ClassResolveCase cs = make_class_resolve_case(n, n + 41);
-    BitVec resolved(n), stable(n), ties(n);
-    const std::size_t n_ties =
-        kernels::class_resolve(cs.class_of, cs.zg, cs.flags, cs.zetas,
-                               cs.polarities, resolved, stable, ties);
-    BitVec want_resolved(n), want_stable(n), want_ties(n);
-    const std::size_t want_n_ties =
-        scalar_class_resolve(cs.class_of, cs.zg, cs.flags, cs.zetas,
-                             cs.polarities, want_resolved, want_stable,
-                             want_ties);
-    EXPECT_EQ(n_ties, want_n_ties) << "n=" << n;
-    EXPECT_EQ(resolved.words(), want_resolved.words()) << "n=" << n;
-    EXPECT_EQ(stable.words(), want_stable.words()) << "n=" << n;
-    EXPECT_EQ(ties.words(), want_ties.words()) << "n=" << n;
+// The parts of word `wi`: one per class present, with its float threshold.
+std::vector<kernels::ClassPart> word_parts(const ResolveCase& cs,
+                                           std::size_t wi) {
+  std::vector<kernels::ClassPart> parts;
+  for (std::size_t cls = 0; cls < cs.zg.size(); ++cls) {
+    kernels::ClassPart part;
+    for (std::size_t b = 0; b < 64; ++b)
+      if (cs.class_of[wi * 64 + b] == static_cast<std::int32_t>(cls))
+        part.mask |= 1ULL << b;
+    if (part.mask == 0) continue;
+    part.threshold = kernels::float_threshold(cs.zg[cls]);
+    part.flags = cs.flags[cls];
+    parts.push_back(part);
   }
+  return parts;
 }
 
-TEST(KernelsTest, ClassResolveRejectsShortSpans) {
-  const ClassResolveCase cs = make_class_resolve_case(64, 1);
-  BitVec resolved(64), stable(64), ties(64);
-  const std::vector<float> short_zetas(63);
-  EXPECT_THROW(
-      kernels::class_resolve(cs.class_of, cs.zg, cs.flags, short_zetas,
-                             cs.polarities, resolved, stable, ties),
-      std::invalid_argument);
-  const std::vector<float> short_pols(63);
-  EXPECT_THROW(
-      kernels::class_resolve(cs.class_of, cs.zg, cs.flags, cs.zetas,
-                             short_pols, resolved, stable, ties),
-      std::invalid_argument);
+// Per-column oracle: the branch of the scalar resolve loop, comparing the
+// double zg against the zeta widened to double.
+kernels::WordVerdict oracle_word(const ResolveCase& cs, std::size_t wi) {
+  kernels::WordVerdict v;
+  for (std::size_t b = 0; b < 64; ++b) {
+    const std::size_t c = wi * 64 + b;
+    const std::int32_t cls = cs.class_of[c];
+    const std::uint64_t bit = 1ULL << b;
+    if (cls >= 0 && (cs.flags[cls] & kernels::kClassTie) != 0) {
+      v.ties |= bit;
+    } else if (cls >= 0 && cs.zg[cls] > cs.zetas[c]) {
+      v.stable |= bit;
+      if ((cs.flags[cls] & kernels::kClassMajorityOne) != 0) v.resolved |= bit;
+    } else if (cs.polarities[c] > 0.0f) {
+      v.resolved |= bit;
+    }
+  }
+  return v;
+}
+
+std::vector<kernels::WordVerdict> resolve_case(const ResolveCase& cs) {
+  std::vector<kernels::WordVerdict> out;
+  for (std::size_t wi = 0; wi < cs.class_of.size() / 64; ++wi)
+    out.push_back(kernels::resolve_word(cs.zetas.data() + wi * 64,
+                                        cs.polarities.data() + wi * 64,
+                                        word_parts(cs, wi)));
+  return out;
+}
+
+void expect_same(const kernels::WordVerdict& got,
+                 const kernels::WordVerdict& want, std::size_t wi) {
+  EXPECT_EQ(got.resolved, want.resolved) << "word " << wi;
+  EXPECT_EQ(got.stable, want.stable) << "word " << wi;
+  EXPECT_EQ(got.ties, want.ties) << "word " << wi;
+}
+
+TEST(KernelsTest, ResolveWordMatchesPerColumnOracle) {
+  const ResolveCase cs = make_resolve_case(128, 41);
+  const auto got = resolve_case(cs);
+  std::size_t stable = 0, ties = 0;
+  for (std::size_t wi = 0; wi < got.size(); ++wi) {
+    expect_same(got[wi], oracle_word(cs, wi), wi);
+    stable += static_cast<std::size_t>(std::popcount(got[wi].stable));
+    ties += static_cast<std::size_t>(std::popcount(got[wi].ties));
+  }
+  // Every branch is taken.
+  EXPECT_GT(stable, 1000u);
+  EXPECT_GT(ties, 1000u);
+  // No parts: every column resolves by polarity.
+  const kernels::WordVerdict bare =
+      kernels::resolve_word(cs.zetas.data(), cs.polarities.data(), {});
+  std::uint64_t positive = 0;
+  for (std::size_t b = 0; b < 64; ++b)
+    positive |= static_cast<std::uint64_t>(cs.polarities[b] > 0.0f) << b;
+  EXPECT_EQ(bare.resolved, positive);
+  EXPECT_EQ(bare.stable | bare.ties, 0u);
 }
 
 // The batched deviate fill must replay the scalar per-cell hash chain.
@@ -472,21 +555,22 @@ TEST_F(SimdTierEquivalence, Lag8AndPopcountsBitIdentical) {
     std::vector<const BitVec*> ptrs;
     for (const auto& r : rows) ptrs.push_back(&r);
 
+    const std::size_t words = rows.front().word_count();
     std::size_t total_scalar = 0, disagree_scalar = 0;
-    std::vector<std::uint8_t> counts_scalar(n);
+    std::vector<std::uint64_t> planes_scalar(4 * words);
     {
       ScopedSimd scoped(kernels::SimdTier::scalar);
       disagree_scalar = kernels::lag8_disagreement(v, total_scalar);
-      kernels::column_popcounts(ptrs, counts_scalar);
+      kernels::count_planes(ptrs, words, planes_scalar);
     }
     ScopedSimd scoped(kernels::SimdTier::avx2);
     std::size_t total = 0;
     EXPECT_EQ(kernels::lag8_disagreement(v, total), disagree_scalar)
         << "n=" << n;
     EXPECT_EQ(total, total_scalar) << "n=" << n;
-    std::vector<std::uint8_t> counts(n);
-    kernels::column_popcounts(ptrs, counts);
-    EXPECT_EQ(counts, counts_scalar) << "n=" << n;
+    std::vector<std::uint64_t> planes(4 * words);
+    kernels::count_planes(ptrs, words, planes);
+    EXPECT_EQ(planes, planes_scalar) << "n=" << n;
   }
 }
 
@@ -576,27 +660,17 @@ TEST_F(SimdTierEquivalence, MarginChainBitIdentical) {
   }
 }
 
-TEST_F(SimdTierEquivalence, ClassResolveBitIdentical) {
-  for (std::size_t n : kSizes) {
-    const ClassResolveCase cs = make_class_resolve_case(n, n + 61);
-    BitVec r_scalar(n), s_scalar(n), t_scalar(n);
-    std::size_t ties_scalar = 0;
-    {
-      ScopedSimd scoped(kernels::SimdTier::scalar);
-      ties_scalar =
-          kernels::class_resolve(cs.class_of, cs.zg, cs.flags, cs.zetas,
-                                 cs.polarities, r_scalar, s_scalar, t_scalar);
-    }
-    ScopedSimd scoped(kernels::SimdTier::avx2);
-    BitVec resolved(n), stable(n), ties(n);
-    EXPECT_EQ(kernels::class_resolve(cs.class_of, cs.zg, cs.flags, cs.zetas,
-                                     cs.polarities, resolved, stable, ties),
-              ties_scalar)
-        << "n=" << n;
-    EXPECT_EQ(resolved.words(), r_scalar.words()) << "n=" << n;
-    EXPECT_EQ(stable.words(), s_scalar.words()) << "n=" << n;
-    EXPECT_EQ(ties.words(), t_scalar.words()) << "n=" << n;
+TEST_F(SimdTierEquivalence, ResolveWordBitIdentical) {
+  const ResolveCase cs = make_resolve_case(128, 61);
+  std::vector<kernels::WordVerdict> scalar;
+  {
+    ScopedSimd scoped(kernels::SimdTier::scalar);
+    scalar = resolve_case(cs);
   }
+  ScopedSimd scoped(kernels::SimdTier::avx2);
+  const auto avx2 = resolve_case(cs);
+  for (std::size_t wi = 0; wi < scalar.size(); ++wi)
+    expect_same(avx2[wi], scalar[wi], wi);
 }
 
 TEST_F(SimdTierEquivalence, HashedUniformFillMatchesNormalDomain) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace simra::majsynth {
 namespace {
 
@@ -53,6 +58,29 @@ TEST(Network, WeightedMajorityViaRepeatedInputs) {
   const auto out = net.evaluate({wa, wb, wc});
   const std::uint64_t expected = wa & (wb | wc);
   EXPECT_EQ(out[0] & 0xFF, expected & 0xFF);
+}
+
+TEST(Network, MajorityGateMatchesPerBitCount) {
+  // Every odd fan-in from 3 to 63 over distinct random input words: the
+  // bit-sliced count must give each bit's majority of its inputs.
+  Rng rng(0x3a7);
+  for (std::size_t fanin = 3; fanin <= 63; fanin += 2) {
+    Network net;
+    std::vector<int> inputs;
+    for (std::size_t i = 0; i < fanin; ++i) inputs.push_back(net.add_input());
+    net.mark_output(net.add_maj(inputs));
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<std::uint64_t> words(fanin);
+      for (auto& w : words) w = rng();
+      std::uint64_t want = 0;
+      for (int bit = 0; bit < 64; ++bit) {
+        std::size_t ones = 0;
+        for (const std::uint64_t w : words) ones += (w >> bit) & 1ULL;
+        if (ones > fanin / 2) want |= 1ULL << bit;
+      }
+      ASSERT_EQ(net.evaluate(words)[0], want) << "fan-in " << fanin;
+    }
+  }
 }
 
 TEST(Network, RejectsBadGates) {
