@@ -21,6 +21,7 @@
 
 #include "bench_common.hpp"
 #include "common/bitvec.hpp"
+#include "common/normal.hpp"
 #include "common/rng.hpp"
 #include "dram/kernels.hpp"
 #include "dram/process_variation.hpp"
@@ -38,23 +39,35 @@ std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-void BM_ThresholdMask(benchmark::State& state) {
-  const auto zetas = random_floats(kColumns, 1);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(dram::kernels::threshold_mask(zetas, 0.25f));
+/// One row's column codes under a fixed prefix, as the code memo holds them.
+std::vector<std::uint8_t> row_codes(std::uint64_t prefix) {
+  std::vector<std::uint8_t> codes(kColumns);
+  dram::kernels::hashed_code_fill(prefix, codes);
+  return codes;
 }
-BENCHMARK(BM_ThresholdMask);
 
-void BM_ThresholdMaskScalar(benchmark::State& state) {
-  const auto zetas = random_floats(kColumns, 1);
+void BM_CodeThresholdMask(benchmark::State& state) {
+  const auto codes = row_codes(0x5eed);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        dram::kernels::code_threshold_mask(0x5eed, codes, 0.6f));
+}
+BENCHMARK(BM_CodeThresholdMask);
+
+void BM_CodeThresholdMaskScalar(benchmark::State& state) {
+  // The per-column float compare the code mask replaces, on the same
+  // hashed uniforms.
+  std::vector<float> us(kColumns);
+  for (std::size_t c = 0; c < kColumns; ++c)
+    us[c] = static_cast<float>(uniform_from_hash(hash_combine(0x5eed, c)));
   for (auto _ : state) {
     BitVec mask(kColumns);
     for (std::size_t c = 0; c < kColumns; ++c)
-      if (zetas[c] < 0.25f) mask.set(c, true);
+      if (us[c] < 0.6f) mask.set(c, true);
     benchmark::DoNotOptimize(mask);
   }
 }
-BENCHMARK(BM_ThresholdMaskScalar);
+BENCHMARK(BM_CodeThresholdMaskScalar);
 
 void BM_LatchRaceMask(benchmark::State& state) {
   const auto race = random_floats(kColumns, 2);
@@ -199,6 +212,8 @@ int simd_report(bool assert_avx2_wins) {
   const auto word_parts = random_word_parts(4, 8);
   const auto polarities = random_floats(kColumns, 10);
   std::vector<float> deviates(kColumns);
+  const auto codes = row_codes(0x5eed);
+  std::vector<std::uint8_t> code_out(kColumns);
   std::vector<double> counter_draws(kColumns);
   // margin_chain runs over sum classes (not columns); 1024 is a dense
   // batch, large enough to keep the vector loop hot.
@@ -217,9 +232,10 @@ int simd_report(bool assert_avx2_wins) {
   std::vector<std::int32_t> flags(sums.size());
 
   const std::vector<std::pair<std::string, std::function<void()>>> kernels = {
-      {"threshold_mask",
+      {"code_threshold_mask",
        [&] {
-         benchmark::DoNotOptimize(dram::kernels::threshold_mask(zetas, 0.25f));
+         benchmark::DoNotOptimize(
+             dram::kernels::code_threshold_mask(0x5eed, codes, 0.6f));
        }},
       {"latch_race_mask",
        [&] {
@@ -247,10 +263,11 @@ int simd_report(bool assert_avx2_wins) {
          dram::kernels::hashed_normal_fill(0x5eed, deviates);
          benchmark::DoNotOptimize(deviates.data());
        }},
-      {"hashed_uniform_fill",
+      {"hashed_code_fill",
        [&] {
-         dram::kernels::hashed_uniform_fill(0x5eed, deviates);
-         benchmark::DoNotOptimize(deviates.data());
+         dram::kernels::hashed_code_fill(0x5eed, code_out);
+         benchmark::DoNotOptimize(code_out.data());
+         benchmark::ClobberMemory();
        }},
       {"counter_normal_fill",
        [&] {

@@ -34,8 +34,9 @@ constexpr std::uint64_t kSaltFracSense = 0x50;
 
 constexpr double kLowTimingNs = 1.6;  // "1.5 ns" slot, with float slack.
 
-/// Entries per memo (spans and masks alike) before it is cleared: bounds
-/// memory at 4,096 x 32 KiB spans on an 8,192-column row.
+/// Entries per memo (spans, codes and masks alike) before it is cleared:
+/// bounds the code memo, the one that grows with the rows a sweep touches,
+/// at 4,096 x 8 KiB on an 8,192-column row.
 constexpr std::size_t kMemoCap = 4096;
 
 double env_gain(const EnvironmentState& env) {
@@ -77,9 +78,7 @@ double mrc_latch_fraction(double t1_ns) {
 std::size_t ElectricalModel::KeyHash::operator()(
     const SpanKey& k) const noexcept {
   return static_cast<std::size_t>(
-      hash_combine(hash_combine(hash_combine(hash_combine(k.salt, k.k1), k.k2),
-                                k.count),
-                   k.uniform ? 1u : 0u));
+      hash_combine(hash_combine(hash_combine(k.salt, k.k1), k.k2), k.count));
 }
 
 std::size_t ElectricalModel::KeyHash::operator()(
@@ -91,10 +90,10 @@ namespace {
 
 /// Recycles span storage across models and chip tasks: a released span
 /// returns its block here instead of freeing it, and the next fill of the
-/// same size reuses it. First-touch page faults on a fresh 32 KiB block
-/// cost ~2-3x the fill itself, so steady-state fills writing into
-/// already-faulted pages are the difference between ~40 us and ~15 us per
-/// span. Thread-safe; the free list is capped, overflow is freed for real.
+/// same size reuses it. Only the normal spans pass through it, a few per
+/// (bank, subarray); capping its free list at zero left `fig3_fleet`'s CPU
+/// unchanged (DESIGN.md, "Pure-function memoization"). Thread-safe; the
+/// free list is capped, overflow is freed for real.
 class SpanPool {
  public:
   static SpanPool& instance() {
@@ -173,11 +172,7 @@ std::shared_ptr<const float[]> ElectricalModel::span(
   if (const auto it = spans_.find(key); it != spans_.end()) return it->second;
   SIMRA_PROF_SCOPE("electrical/deviates_miss");
   std::shared_ptr<float[]> values = SpanPool::instance().acquire(key.count);
-  const std::span<float> out(values.get(), key.count);
-  if (key.uniform)
-    variation_->uniform_fill(key.salt, key.k1, key.k2, out);
-  else
-    variation_->normal_fill(key.salt, key.k1, key.k2, out);
+  variation_->normal_fill(key.salt, key.k1, key.k2, {values.get(), key.count});
   if (spans_.size() >= kMemoCap) spans_.clear();
   spans_.emplace(key, values);
   return values;
@@ -194,15 +189,25 @@ const BitVec& ElectricalModel::threshold_mask_cached(const SpanKey& key,
   if (const auto it = masks_.find(mask_key); it != masks_.end())
     return it->second;
   // Compared in the uniform domain: zeta < z_eff <=> u < normal_cdf(z_eff)
-  // (the deviate is inverse_normal_cdf(u) and the CDF is monotone), so the
-  // span fill skips the inverse CDF — by far the dominant cost of a miss.
-  const std::shared_ptr<const float[]> us = span(key);
+  // (the deviate is inverse_normal_cdf(u) and the CDF is monotone), and on
+  // each column's hash code, re-hashing only the columns whose code ties
+  // the threshold: the row keeps one byte per column, no float span.
+  const std::uint64_t prefix = variation_->prefix(key.salt, key.k1, key.k2);
+  auto codes = codes_.find(key);
+  if (codes == codes_.end()) {
+    SIMRA_PROF_SCOPE("electrical/deviates_miss");
+    auto fresh = std::make_unique_for_overwrite<std::uint8_t[]>(key.count);
+    kernels::hashed_code_fill(prefix, {fresh.get(), key.count});
+    if (codes_.size() >= kMemoCap) codes_.clear();
+    codes = codes_.emplace(key, std::move(fresh)).first;
+  }
   const auto u_eff =
       static_cast<float>(normal_cdf(static_cast<double>(z_eff)));
   BitVec mask(0);
   {
     SIMRA_PROF_SCOPE("electrical/threshold_mask_compute");
-    mask = kernels::threshold_mask({us.get(), key.count}, u_eff);
+    mask = kernels::code_threshold_mask(
+        prefix, {codes->second.get(), key.count}, u_eff);
   }
   return remember(mask_key, std::move(mask));
 }
@@ -686,7 +691,7 @@ const BitVec& ElectricalModel::write_overdrive_mask(const BitlineContext& ctx,
   return threshold_mask_cached(
       {kSaltSmraOffset, ctx.bank,
        (static_cast<std::uint64_t>(ctx.subarray) << 32) | local_row,
-       ctx.columns, true},
+       ctx.columns},
       z_eff);
 }
 
@@ -719,7 +724,7 @@ const BitVec& ElectricalModel::copy_stable_mask(const BitlineContext& ctx,
   return threshold_mask_cached(
       {kSaltCopyOffset, ctx.bank,
        (static_cast<std::uint64_t>(ctx.subarray) << 32) | dest_row,
-       ctx.columns, true},
+       ctx.columns},
       z_eff);
 }
 

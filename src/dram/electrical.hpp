@@ -161,18 +161,15 @@ class ElectricalModel {
 
  private:
   /// Identity of one persistent span of the variation field: entry i is
-  /// the (salt, k1, k2, i) deviate, either as the raw hashed uniform or as
-  /// its normal deviate. Keyed by the whole tuple rather than a folded
+  /// the (salt, k1, k2, i) deviate, kept as a normal float (the span memo)
+  /// or as its hash code (the code memo of the threshold masks); the salts
+  /// of the two never meet. Keyed by the whole tuple rather than a folded
   /// digest, so hash collisions are harmless: equal keys are equal spans.
   struct SpanKey {
     std::uint64_t salt = 0;
     std::uint64_t k1 = 0;
     std::uint64_t k2 = 0;
     std::size_t count = 0;
-    /// Raw uniforms: mask paths compare them against normal_cdf(threshold),
-    /// monotone-equivalent to comparing the deviate, with no inverse CDF
-    /// on the fill.
-    bool uniform = false;
     bool operator==(const SpanKey&) const = default;
   };
   /// A threshold or latch-race mask: the span it compares, plus the bits
@@ -190,9 +187,11 @@ class ElectricalModel {
   /// still being read.
   std::shared_ptr<const float[]> span(const SpanKey& key) const;
 
-  /// `zetas < z_eff` stability mask over the uniform span `key`, for
+  /// `zeta < z_eff` stability mask over the deviates `key` names, for
   /// write_overdrive_mask and copy_stable_mask: the trial loops
-  /// re-request the same (row, threshold) point every trial.
+  /// re-request the same (row, threshold) point every trial. Computed from
+  /// the row's column codes (kernels::code_threshold_mask), which a new
+  /// threshold on a known row reuses.
   const BitVec& threshold_mask_cached(const SpanKey& key, float z_eff) const;
 
   /// Stores a freshly computed mask and returns the stored copy.
@@ -200,15 +199,20 @@ class ElectricalModel {
 
   const VendorProfile* profile_;
   const VariationField* variation_;
-  /// The model's two memos of pure functions of the variation field: the
-  /// characterization sweeps re-touch the same rows thousands of times.
-  /// Each is cleared wholesale when it reaches its cap, which a sweep's
-  /// working set stays well under. Per-model only: every key carries its
-  /// (bank, subarray) and sibling slot models sample different ones, so a
-  /// chip-level memo of spans or masks almost never hits (0.5 % of span
-  /// lookups on the Fig. 3 fleet sweep) and is deliberately absent.
+  /// The model's three memos of pure functions of the variation field:
+  /// the characterization sweeps re-touch the same rows thousands of
+  /// times. Each is cleared wholesale when it reaches its cap, which a
+  /// sweep's working set stays well under. Per-model only: every key
+  /// carries its (bank, subarray) and sibling slot models sample different
+  /// ones, so a chip-level memo of spans or masks almost never hits (0.5 %
+  /// of span lookups on the Fig. 3 fleet sweep) and is deliberately absent.
   mutable std::unordered_map<SpanKey, std::shared_ptr<const float[]>, KeyHash>
       spans_;
+  /// One byte per column (kernels::hashed_code_fill) for each threshold
+  /// mask row.
+  mutable std::unordered_map<SpanKey, std::unique_ptr<std::uint8_t[]>,
+                             KeyHash>
+      codes_;
   mutable std::unordered_map<MaskKey, BitVec, KeyHash> masks_;
 };
 

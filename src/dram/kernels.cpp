@@ -31,10 +31,8 @@ SimdTier resolve_tier() {
   return avx2_supported() ? SimdTier::avx2 : SimdTier::scalar;
 }
 
-double hash_to_uniform(std::uint64_t h) {
-  // 53 high bits -> (0, 1); offset by half a ulp to avoid exact 0.
-  return (static_cast<double>(h >> 11) + 0.5) * 0x1.0p-53;
-}
+/// m ranges over [0, 2^53): the 53 high bits of a hash.
+constexpr std::uint64_t kUniformSteps = 1ULL << 53;
 
 }  // namespace
 
@@ -66,20 +64,59 @@ const char* simd_name(SimdTier tier) noexcept {
   return tier == SimdTier::avx2 ? "avx2" : "scalar";
 }
 
-BitVec threshold_mask(std::span<const float> zetas, float z_eff) {
-  BitVec mask(zetas.size());
-  if (active_simd() == SimdTier::avx2) {
-    avx2::threshold_mask(zetas, z_eff, mask);
-    return mask;
+void hashed_code_fill(std::uint64_t prefix, std::span<std::uint8_t> out) {
+  std::size_t i = 0;
+  if (active_simd() == SimdTier::avx2) i = avx2::hashed_code_fill(prefix, out);
+  for (; i < out.size(); ++i)
+    out[i] = static_cast<std::uint8_t>(hash_combine(prefix, i) >> 56);
+}
+
+std::uint64_t uniform_threshold_index(float u_eff) noexcept {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = kUniformSteps;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (static_cast<float>(uniform_from_hash(mid << 11)) < u_eff)
+      lo = mid + 1;
+    else
+      hi = mid;
   }
-  const std::size_t n = zetas.size();
-  std::size_t c = 0;
-  for (std::size_t wi = 0; c < n; ++wi) {
-    std::uint64_t word = 0;
+  return lo;
+}
+
+std::uint64_t tied_code_bits(std::uint64_t prefix, std::size_t base,
+                             std::uint64_t tied, std::uint64_t t) noexcept {
+  std::uint64_t below = 0;
+  for (; tied != 0; tied &= tied - 1) {
+    const int b = std::countr_zero(tied);
+    below |= static_cast<std::uint64_t>(
+                 (hash_combine(prefix, base + static_cast<std::size_t>(b)) >>
+                  11) < t)
+             << b;
+  }
+  return below;
+}
+
+BitVec code_threshold_mask(std::uint64_t prefix,
+                           std::span<const std::uint8_t> codes, float u_eff) {
+  const std::size_t n = codes.size();
+  const std::uint64_t t = uniform_threshold_index(u_eff);
+  // Every m is below 2^53, whose code (256) no byte can hold.
+  if (t == kUniformSteps) return BitVec(n, true);
+  BitVec mask(n);
+  std::size_t wi = 0;
+  if (active_simd() == SimdTier::avx2)
+    wi = avx2::code_threshold_words(prefix, codes, t, mask);
+  const auto code = static_cast<std::uint8_t>(t >> 45);
+  for (std::size_t c = wi * kWordBits; c < n; ++wi) {
+    std::uint64_t below = 0;
+    std::uint64_t tied = 0;
     const std::size_t limit = std::min(kWordBits, n - c);
-    for (std::size_t b = 0; b < limit; ++b, ++c)
-      word |= static_cast<std::uint64_t>(zetas[c] < z_eff) << b;
-    mask.set_word(wi, word);
+    for (std::size_t b = 0; b < limit; ++b, ++c) {
+      below |= static_cast<std::uint64_t>(codes[c] < code) << b;
+      tied |= static_cast<std::uint64_t>(codes[c] == code) << b;
+    }
+    mask.set_word(wi, below | tied_code_bits(prefix, wi * kWordBits, tied, t));
   }
   return mask;
 }
@@ -198,16 +235,7 @@ void hashed_normal_fill(std::uint64_t prefix, std::span<float> out) {
   }
   for (std::size_t i = 0; i < out.size(); ++i)
     out[i] = static_cast<float>(
-        inverse_normal_cdf(hash_to_uniform(hash_combine(prefix, i))));
-}
-
-void hashed_uniform_fill(std::uint64_t prefix, std::span<float> out) {
-  if (active_simd() == SimdTier::avx2) {
-    avx2::hashed_uniform_fill(prefix, out);
-    return;
-  }
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = static_cast<float>(hash_to_uniform(hash_combine(prefix, i)));
+        inverse_normal_cdf(uniform_from_hash(hash_combine(prefix, i))));
 }
 
 void counter_normal_fill(std::uint64_t prefix, std::uint64_t base,

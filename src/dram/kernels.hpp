@@ -41,9 +41,26 @@ void set_simd_for_test(std::optional<SimdTier> tier) noexcept;
 /// Lower-case tier name ("scalar", "avx2") for manifests and bench rows.
 const char* simd_name(SimdTier tier) noexcept;
 
-/// mask[c] = (zetas[c] < z_eff). The shared margin-vs-deviate compare of
-/// write_overdrive_mask and copy_stable_mask.
-BitVec threshold_mask(std::span<const float> zetas, float z_eff);
+/// out[i] = hash_combine(prefix, i) >> 56: each column's hash code, the
+/// top 8 bits of the 53 bits m that uniform_from_hash maps to
+/// u = (m + 0.5) * 2^-53. One byte per column is what the threshold masks
+/// of write_overdrive_mask and copy_stable_mask keep of their deviates.
+void hashed_code_fill(std::uint64_t prefix, std::span<std::uint8_t> out);
+
+/// The smallest T in [0, 2^53] with float(u(T)) >= u_eff, where
+/// u(m) = uniform_from_hash(m << 11). float(u(m)) never decreases as m
+/// grows, so float(u(m)) < u_eff holds exactly when m < T. A u_eff <= 0
+/// or NaN gives 0, one above every float(u(m)) gives 2^53. Found by
+/// bisection, 54 steps.
+std::uint64_t uniform_threshold_index(float u_eff) noexcept;
+
+/// mask[c] = float(uniform_from_hash(hash_combine(prefix, c))) < u_eff,
+/// from the codes hashed_code_fill(prefix, codes) wrote: with
+/// T = uniform_threshold_index(u_eff), a code below T >> 45 sets the bit
+/// and one above clears it; the ~1/256 of columns whose code equals
+/// T >> 45 are re-hashed and compared as m < T.
+BitVec code_threshold_mask(std::uint64_t prefix,
+                           std::span<const std::uint8_t> codes, float u_eff);
 
 /// mask[c] = (normal_cdf(race[c]) < latch_fraction): which sense
 /// amplifiers won the latch race at a partial latch fraction.
@@ -76,13 +93,6 @@ void count_planes(std::span<const BitVec* const> rows, std::size_t words,
 /// the inverse-CDF central branch can run vectorized. Bit-identical to
 /// the scalar per-index calls at every tier.
 void hashed_normal_fill(std::uint64_t prefix, std::span<float> out);
-
-/// out[i] = float(uniform(hash_combine(prefix, i))) — the hashed uniforms
-/// underneath hashed_normal_fill, without the inverse-CDF mapping.
-/// Threshold compares against a normal deviate are monotone-equivalent in
-/// the uniform domain (zeta < z <=> u < normal_cdf(z)), so mask paths use
-/// these spans and skip the inverse CDF entirely.
-void hashed_uniform_fill(std::uint64_t prefix, std::span<float> out);
 
 /// out[i] = inverse_normal_cdf(uniform_from_hash(hash_combine(prefix,
 /// base + i))) in double precision — the SIMD-dispatched body of

@@ -69,27 +69,31 @@ inline __m256d u53_to_double(__m256i x) {
 
 bool compiled() noexcept { return true; }
 
-void threshold_mask(std::span<const float> zetas, float z_eff, BitVec& mask) {
-  const std::size_t n = zetas.size();
-  const __m256 vz = _mm256_set1_ps(z_eff);
-  std::size_t c = 0;
-  std::size_t wi = 0;
-  for (; n - c >= kWordBits; ++wi, c += kWordBits) {
-    std::uint64_t word = 0;
-    for (int k = 0; k < 8; ++k) {
-      const __m256 v = _mm256_loadu_ps(zetas.data() + c + 8 * k);
-      const auto bits = static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_cmp_ps(v, vz, _CMP_LT_OQ)));
-      word |= static_cast<std::uint64_t>(bits) << (8 * k);
+std::size_t code_threshold_words(std::uint64_t prefix,
+                                 std::span<const std::uint8_t> codes,
+                                 std::uint64_t t, BitVec& mask) {
+  // AVX2 compares bytes as signed: flipping both sign bits turns the
+  // signed greater-than into the unsigned one.
+  const __m256i sign = _mm256_set1_epi8(static_cast<char>(0x80));
+  const __m256i code = _mm256_set1_epi8(static_cast<char>(t >> 45));
+  const __m256i code_signed = _mm256_xor_si256(code, sign);
+  const std::size_t words = codes.size() / kWordBits;
+  for (std::size_t wi = 0; wi < words; ++wi) {
+    std::uint64_t below = 0;
+    std::uint64_t tied = 0;
+    for (int k = 0; k < 2; ++k) {
+      const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+          codes.data() + wi * kWordBits + 32 * k));
+      const auto lt = static_cast<std::uint32_t>(_mm256_movemask_epi8(
+          _mm256_cmpgt_epi8(code_signed, _mm256_xor_si256(v, sign))));
+      const auto eq = static_cast<std::uint32_t>(
+          _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, code)));
+      below |= static_cast<std::uint64_t>(lt) << (32 * k);
+      tied |= static_cast<std::uint64_t>(eq) << (32 * k);
     }
-    mask.set_word(wi, word);
+    mask.set_word(wi, below | tied_code_bits(prefix, wi * kWordBits, tied, t));
   }
-  if (c < n) {
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; c < n; ++b, ++c)
-      word |= static_cast<std::uint64_t>(zetas[c] < z_eff) << b;
-    mask.set_word(wi, word);
-  }
+  return words;
 }
 
 std::uint64_t compare_lt_word(const double* values, std::size_t limit,
@@ -461,38 +465,51 @@ WordVerdict resolve_word(const float* zetas, const float* polarities,
   return v;
 }
 
-void hashed_uniform_fill(std::uint64_t prefix, std::span<float> out) {
+std::size_t hashed_code_fill(std::uint64_t prefix,
+                             std::span<std::uint8_t> out) {
   constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  // Same hoisted hash_combine as hashed_normal_fill, minus the inverse
-  // CDF: the result is the raw uniform, rounded to float.
+  // hash_combine(prefix, i) with the prefix terms hoisted, as in
+  // hashed_normal_fill: h = splitmix64(prefix ^ (i + c0)).
   const std::uint64_t c0 = kGolden + (prefix << 6) + (prefix >> 2);
   const __m256i vprefix =
       _mm256_set1_epi64x(static_cast<long long>(prefix));
-  const __m256i vc0 = _mm256_set1_epi64x(static_cast<long long>(c0));
   const __m256i vgolden =
       _mm256_set1_epi64x(static_cast<long long>(kGolden));
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d ulp53 = _mm256_set1_pd(0x1.0p-53);
-  const std::size_t n = out.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i idx = _mm256_setr_epi64x(
-        static_cast<long long>(i), static_cast<long long>(i + 1),
-        static_cast<long long>(i + 2), static_cast<long long>(i + 3));
-    __m256i s =
-        _mm256_xor_si256(vprefix, _mm256_add_epi64(idx, vc0));
-    s = _mm256_add_epi64(s, vgolden);  // splitmix64's own increment.
-    const __m256i h = splitmix_mix(s);
-    const __m256d u = _mm256_mul_pd(
-        _mm256_add_pd(u53_to_double(_mm256_srli_epi64(h, 11)), half),
-        ulp53);
-    _mm_storeu_ps(out.data() + i, _mm256_cvtpd_ps(u));
+  const __m256i four = _mm256_set1_epi64x(4);
+  __m256i idx = _mm256_setr_epi64x(
+      static_cast<long long>(c0), static_cast<long long>(c0 + 1),
+      static_cast<long long>(c0 + 2), static_cast<long long>(c0 + 3));
+  const std::size_t n = out.size() / 32 * 32;
+  for (std::size_t i = 0; i < n; i += 32) {
+    // Eight hash vectors h[k] = hashes i + 4k .. i + 4k + 3, shifted down
+    // to their top byte: the low 128-bit half holds i + 4k and i + 4k + 1,
+    // the high half i + 4k + 2 and i + 4k + 3.
+    __m256i h[8];
+    for (int k = 0; k < 8; ++k) {
+      const __m256i s = _mm256_add_epi64(_mm256_xor_si256(vprefix, idx),
+                                         vgolden);  // splitmix64's increment.
+      h[k] = _mm256_srli_epi64(splitmix_mix(s), 56);
+      idx = _mm256_add_epi64(idx, four);
+    }
+    // Three rounds of unsigned-saturating packs (exact: every value is a
+    // byte) leave, per 128-bit half, the codes of pairs (4k, 4k + 1) in
+    // the low half and (4k + 2, 4k + 3) in the high half, k = 0..7.
+    const __m256i p01 = _mm256_packus_epi32(h[0], h[1]);
+    const __m256i p23 = _mm256_packus_epi32(h[2], h[3]);
+    const __m256i p45 = _mm256_packus_epi32(h[4], h[5]);
+    const __m256i p67 = _mm256_packus_epi32(h[6], h[7]);
+    const __m256i packed =
+        _mm256_packus_epi16(_mm256_packus_epi16(p01, p23),
+                            _mm256_packus_epi16(p45, p67));
+    // Interleaving the halves' 16-bit pairs puts the codes in index order.
+    const __m128i lo = _mm256_castsi256_si128(packed);
+    const __m128i hi = _mm256_extracti128_si256(packed, 1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data() + i),
+                     _mm_unpacklo_epi16(lo, hi));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data() + i + 16),
+                     _mm_unpackhi_epi16(lo, hi));
   }
-  for (; i < n; ++i) {
-    const std::uint64_t h = hash_combine(prefix, i);
-    out[i] = static_cast<float>(
-        (static_cast<double>(h >> 11) + 0.5) * 0x1.0p-53);
-  }
+  return n;
 }
 
 }  // namespace simra::dram::kernels::avx2
@@ -508,7 +525,10 @@ namespace simra::dram::kernels::avx2 {
 
 bool compiled() noexcept { return false; }
 
-void threshold_mask(std::span<const float>, float, BitVec&) { std::abort(); }
+std::size_t code_threshold_words(std::uint64_t, std::span<const std::uint8_t>,
+                                 std::uint64_t, BitVec&) {
+  std::abort();
+}
 std::uint64_t compare_lt_word(const double*, std::size_t, double) {
   std::abort();
 }
@@ -524,7 +544,9 @@ std::size_t count_planes_quads(std::span<const BitVec* const>, std::size_t,
   std::abort();
 }
 void hashed_normal_fill(std::uint64_t, std::span<float>) { std::abort(); }
-void hashed_uniform_fill(std::uint64_t, std::span<float>) { std::abort(); }
+std::size_t hashed_code_fill(std::uint64_t, std::span<std::uint8_t>) {
+  std::abort();
+}
 void counter_normal_fill(std::uint64_t, std::uint64_t, std::span<double>) {
   std::abort();
 }

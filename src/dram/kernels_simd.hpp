@@ -20,6 +20,16 @@ struct WordVerdict;
 /// multiply-add — and is only invoked when `active_simd()` resolved to
 /// SimdTier::avx2 (which implies `compiled()` and cpuid support).
 
+namespace simra::dram::kernels {
+
+/// The columns of a code_threshold_mask word whose code ties t >> 45:
+/// bit b of the result is set iff bit b of `tied` is and
+/// (hash_combine(prefix, base + b) >> 11) < t. Scalar, shared by both tiers.
+std::uint64_t tied_code_bits(std::uint64_t prefix, std::size_t base,
+                             std::uint64_t tied, std::uint64_t t) noexcept;
+
+}  // namespace simra::dram::kernels
+
 namespace simra::dram::kernels::avx2 {
 
 /// Whether this binary carries the AVX2 code paths at all (the TU is
@@ -27,8 +37,13 @@ namespace simra::dram::kernels::avx2 {
 /// become unreachable aborts and this returns false).
 bool compiled() noexcept;
 
-/// Fills `mask` (already sized to zetas.size()) with zetas[c] < z_eff.
-void threshold_mask(std::span<const float> zetas, float z_eff, BitVec& mask);
+/// The full 64-column words of kernels::code_threshold_mask for a
+/// threshold index t < 2^53: 32 unsigned byte compares against t >> 45
+/// per instruction, then the tied columns through tied_code_bits. Returns
+/// the words done; the caller masks the rest.
+std::size_t code_threshold_words(std::uint64_t prefix,
+                                 std::span<const std::uint8_t> codes,
+                                 std::uint64_t t, BitVec& mask);
 
 /// Packs values[b] < threshold for b in [0, limit) into one word
 /// (limit <= 64). Used by latch_race_mask on a stack chunk of
@@ -59,9 +74,11 @@ std::size_t count_planes_quads(std::span<const BitVec* const> rows,
 /// lanes and the remainder fall back to the exact scalar routine).
 void hashed_normal_fill(std::uint64_t prefix, std::span<float> out);
 
-/// Vectorized body of kernels::hashed_uniform_fill (the splitmix64 and
-/// uniform-mapping stages of hashed_normal_fill, no inverse CDF).
-void hashed_uniform_fill(std::uint64_t prefix, std::span<float> out);
+/// The groups of 32 codes of kernels::hashed_code_fill: the splitmix64
+/// chain of hashed_normal_fill, then the lanes' top bytes packed down to
+/// one 32-byte store. Returns the codes written (a multiple of 32); the
+/// caller hashes the rest.
+std::size_t hashed_code_fill(std::uint64_t prefix, std::span<std::uint8_t> out);
 
 /// Vectorized body of kernels::counter_normal_fill: the hashed_normal_fill
 /// machinery with a base draw offset and double-precision output (tail

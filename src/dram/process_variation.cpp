@@ -23,39 +23,32 @@ double VariationField::normal(std::uint64_t k0, std::uint64_t k1) const {
 
 double VariationField::normal(std::uint64_t k0, std::uint64_t k1,
                               std::uint64_t k2) const {
-  return inverse_normal_cdf(hash_to_uniform(
-      hash_combine(hash_combine(hash_combine(seed_, k0), k1), k2)));
+  return inverse_normal_cdf(hash_to_uniform(prefix(k0, k1, k2)));
 }
 
 double VariationField::normal(std::uint64_t k0, std::uint64_t k1,
                               std::uint64_t k2, std::uint64_t k3) const {
-  return inverse_normal_cdf(hash_to_uniform(hash_combine(
-      hash_combine(hash_combine(hash_combine(seed_, k0), k1), k2), k3)));
+  return inverse_normal_cdf(
+      hash_to_uniform(hash_combine(prefix(k0, k1, k2), k3)));
 }
 
 void VariationField::normal_fill(std::uint64_t k0, std::uint64_t k1,
                                  std::uint64_t k2,
                                  std::span<float> out) const {
-  const std::uint64_t prefix =
-      hash_combine(hash_combine(hash_combine(seed_, k0), k1), k2);
   // Batched, SIMD-dispatched evaluation of
   // float(inverse_normal_cdf(hash_to_uniform(hash_combine(prefix, i)))) —
   // bit-identical to the per-index calls at every tier.
-  kernels::hashed_normal_fill(prefix, out);
+  kernels::hashed_normal_fill(prefix(k0, k1, k2), out);
 }
 
-void VariationField::uniform_fill(std::uint64_t k0, std::uint64_t k1,
-                                  std::uint64_t k2,
-                                  std::span<float> out) const {
-  const std::uint64_t prefix =
-      hash_combine(hash_combine(hash_combine(seed_, k0), k1), k2);
-  kernels::hashed_uniform_fill(prefix, out);
+std::uint64_t VariationField::prefix(std::uint64_t k0, std::uint64_t k1,
+                                     std::uint64_t k2) const {
+  return hash_combine(hash_combine(hash_combine(seed_, k0), k1), k2);
 }
 
 double VariationField::uniform(std::uint64_t k0, std::uint64_t k1,
                                std::uint64_t k2) const {
-  return hash_to_uniform(
-      hash_combine(hash_combine(hash_combine(seed_, k0), k1), k2));
+  return hash_to_uniform(prefix(k0, k1, k2));
 }
 
 }  // namespace simra::dram

@@ -35,13 +35,12 @@ class VariationField {
   void normal_fill(std::uint64_t k0, std::uint64_t k1, std::uint64_t k2,
                    std::span<float> out) const;
 
-  /// Batched 4-key uniforms sharing a (k0, k1, k2) prefix:
-  /// out[i] = float(u) where normal(k0, k1, k2, i) = inverse_normal_cdf(u).
-  /// Threshold compares against the normal deviate are monotone-equivalent
-  /// in this domain (zeta < z <=> u < normal_cdf(z)), and skipping the
-  /// inverse CDF makes the fill an order of magnitude cheaper.
-  void uniform_fill(std::uint64_t k0, std::uint64_t k1, std::uint64_t k2,
-                    std::span<float> out) const;
+  /// Hash prefix of the 4-key entities sharing (k0, k1, k2): entity
+  /// (k0, k1, k2, i) hashes to hash_combine(prefix(k0, k1, k2), i), the
+  /// form the batched kernels (kernels::hashed_code_fill,
+  /// kernels::code_threshold_mask) take.
+  std::uint64_t prefix(std::uint64_t k0, std::uint64_t k1,
+                       std::uint64_t k2) const;
 
   /// Uniform deviate in [0, 1) for the same keying scheme.
   double uniform(std::uint64_t k0, std::uint64_t k1, std::uint64_t k2) const;

@@ -339,5 +339,121 @@ TEST_F(ElectricalTest, ClassPassKeepsResolveAndMarginHistogram) {
   }
 }
 
+/// FNV-1a over a mask's words.
+std::uint64_t mask_hash(const BitVec& mask) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const std::uint64_t w : mask.words())
+    hash = (hash ^ w) * 1099511628211ULL;
+  return hash;
+}
+
+TEST(ElectricalMaskPins, ThresholdMasksKeepTheirRecordedBits) {
+  // write_overdrive_mask and copy_stable_mask over eight rows of an
+  // 8,192-column and a 16,384-column profile, at three (env, APA, copy)
+  // settings: the popcount summed over the rows and a hash chained over
+  // their masks, pinned from the float-span compare that predates the
+  // code masks. The pins hold on the first query, on the memoized repeat,
+  // and after walking more than 4,096 distinct narrow rows has reset
+  // every memo, so the masks are recomputed from fresh codes.
+  struct Setting {
+    EnvironmentState env;
+    double t1_ns;
+    double t2_ns;
+    unsigned differing_fields;
+    std::size_t n_dest;
+    bool all_ones_source;
+  };
+  const Setting settings[] = {
+      {{Celsius{50.0}, Volts{2.5}}, 3.0, 3.0, 3, 1, false},
+      {{Celsius{85.0}, Volts{2.5}}, 1.5, 1.5, 5, 31, true},
+      {{Celsius{50.0}, Volts{2.1}}, 1.5, 3.0, 2, 8, false},
+  };
+  struct Pin {
+    std::size_t write_popcount;
+    std::uint64_t write_hash;
+    std::size_t copy_popcount;
+    std::uint64_t copy_hash;
+  };
+  struct ProfilePins {
+    VendorProfile profile;
+    std::array<Pin, 3> pins;  ///< one per setting.
+  };
+  const ProfilePins cases[] = {
+      {VendorProfile::hynix_m(),
+       {{{65536, 0x70c07a5ea75506cfULL, 65526, 0x3419d3b3b3716c7ULL},
+         {28603, 0x3dcc3eb7a27bd098ULL, 63991, 0xfdb04951a0f23017ULL},
+         {65526, 0x6532698ca79f54e7ULL, 65358, 0xa12f0d5956595584ULL}}}},
+      {VendorProfile::micron_e(),
+       {{{131072, 0xe24a95dbc8495125ULL, 131048, 0x17f706de71f3c326ULL},
+         {57361, 0xde4906c719c04c24ULL, 127951, 0xde62d34b33405a4eULL},
+         {131050, 0x6ac52f1164174085ULL, 130713, 0xacb9442e6064f39aULL}}}},
+  };
+  struct Row {
+    BankId bank;
+    SubarrayId subarray;
+    RowAddr row;
+  };
+  const Row rows[] = {{0, 0, 0},  {0, 1, 5},   {1, 3, 17}, {2, 7, 511},
+                      {3, 0, 100}, {0, 12, 33}, {7, 2, 250}, {5, 9, 1}};
+
+  for (const ProfilePins& pc : cases) {
+    const std::size_t columns = pc.profile.geometry.columns;
+    VariationField variation(2024);
+    ElectricalModel model(&pc.profile, &variation);
+    Rng source_rng(11);
+    BitVec random_source(columns);
+    random_source.randomize(source_rng);
+    const BitVec ones_source(columns, true);
+
+    const auto check = [&](const char* when) {
+      for (std::size_t si = 0; si < std::size(settings); ++si) {
+        const Setting& s = settings[si];
+        const ApaDecision apa = model.classify_apa(Nanoseconds{s.t1_ns},
+                                                   Nanoseconds{s.t2_ns});
+        Pin got{0, 0, 0, 0};
+        for (std::size_t ri = 0; ri < std::size(rows); ++ri) {
+          BitlineContext c;
+          c.bank = rows[ri].bank;
+          c.subarray = rows[ri].subarray;
+          c.group_key = ri + 1;
+          c.columns = columns;
+          const BitVec& write = model.write_overdrive_mask(
+              c, rows[ri].row, s.differing_fields, s.env, apa);
+          got.write_popcount += write.popcount();
+          got.write_hash = hash_combine(got.write_hash, mask_hash(write));
+          const BitVec& copy = model.copy_stable_mask(
+              c, rows[ri].row, s.n_dest,
+              s.all_ones_source ? ones_source : random_source, s.env);
+          got.copy_popcount += copy.popcount();
+          got.copy_hash = hash_combine(got.copy_hash, mask_hash(copy));
+        }
+        const Pin& want = pc.pins[si];
+        SCOPED_TRACE(testing::Message()
+                     << pc.profile.short_name << pc.profile.die_revision
+                     << " (" << columns << " columns), setting " << si << ", " << when
+                     << ": got {" << got.write_popcount << ", 0x" << std::hex
+                     << got.write_hash << "ULL, " << std::dec
+                     << got.copy_popcount << ", 0x" << std::hex
+                     << got.copy_hash << "ULL}");
+        EXPECT_EQ(got.write_popcount, want.write_popcount);
+        EXPECT_EQ(got.write_hash, want.write_hash);
+        EXPECT_EQ(got.copy_popcount, want.copy_popcount);
+        EXPECT_EQ(got.copy_hash, want.copy_hash);
+      }
+    };
+    check("first query");
+    check("memoized repeat");
+    BitlineContext narrow;
+    narrow.columns = 64;
+    const ApaDecision best = model.classify_apa(Nanoseconds{3.0},
+                                                Nanoseconds{3.0});
+    for (RowAddr row = 0; row < 4200; ++row) {
+      model.write_overdrive_mask(narrow, row, 1, EnvironmentState{}, best);
+      model.copy_stable_mask(narrow, row, 1, ones_source, EnvironmentState{});
+    }
+    check("after the memo reset");
+  }
+}
+
 }  // namespace
 }  // namespace simra::dram

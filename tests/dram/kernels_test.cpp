@@ -10,10 +10,12 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "common/normal.hpp"
 #include "common/rng.hpp"
 #include "dram/electrical.hpp"
 #include "dram/process_variation.hpp"
@@ -30,15 +32,171 @@ std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-TEST(KernelsTest, ThresholdMaskMatchesScalar) {
-  for (std::size_t n : kSizes) {
-    const auto zetas = random_floats(n, n + 1);
-    for (float z_eff : {-0.8f, 0.0f, 0.9f}) {
-      const BitVec mask = kernels::threshold_mask(zetas, z_eff);
-      ASSERT_EQ(mask.size(), n);
-      for (std::size_t c = 0; c < n; ++c)
-        ASSERT_EQ(mask.get(c), zetas[c] < z_eff) << "n=" << n << " c=" << c;
+class ScopedSimd {
+ public:
+  explicit ScopedSimd(kernels::SimdTier tier) {
+    kernels::set_simd_for_test(tier);
+  }
+  ~ScopedSimd() { kernels::set_simd_for_test(std::nullopt); }
+};
+
+/// The tiers this host runs: scalar, and AVX2 where supported.
+std::vector<kernels::SimdTier> host_tiers() {
+  std::vector<kernels::SimdTier> tiers{kernels::SimdTier::scalar};
+  if (kernels::avx2_supported()) tiers.push_back(kernels::SimdTier::avx2);
+  return tiers;
+}
+
+// Code widths straddle the AVX2 fill's 32-code and the mask's 64-column
+// grain, up to the 16,384-column profile's row.
+constexpr std::size_t kCodeWidths[] = {0,  1,  31, 32,   33,
+                                       63, 64, 65, 8192, 16384};
+
+std::vector<std::uint64_t> code_prefixes() {
+  return {0, 0x5eed'5eed'5eed'5eedULL, hash_combine(99, 3)};
+}
+
+/// The float compare the code mask replaces: the column's hashed uniform
+/// rounded to float, against u_eff.
+BitVec float_oracle_mask(std::uint64_t prefix, std::size_t n, float u_eff) {
+  BitVec mask(n);
+  for (std::size_t c = 0; c < n; ++c)
+    mask.set(c, static_cast<float>(uniform_from_hash(
+                    hash_combine(prefix, c))) < u_eff);
+  return mask;
+}
+
+/// float(u(m)) for m in [0, 2^53]'s index space (uniform_threshold_index).
+float uniform_at(std::uint64_t m) {
+  return static_cast<float>(uniform_from_hash(m << 11));
+}
+
+TEST(KernelsTest, HashedCodeFillIsTheTopHashByte) {
+  for (const kernels::SimdTier tier : host_tiers()) {
+    ScopedSimd scoped(tier);
+    for (std::size_t n : kCodeWidths) {
+      for (std::uint64_t prefix : code_prefixes()) {
+        // Guard bytes past the span catch a fill that overruns its tail.
+        std::vector<std::uint8_t> codes(n + 32, 0xa5);
+        kernels::hashed_code_fill(prefix, std::span(codes).first(n));
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(codes[i], hash_combine(prefix, i) >> 56)
+              << kernels::simd_name(tier) << " n=" << n << " i=" << i;
+        for (std::size_t i = n; i < codes.size(); ++i)
+          ASSERT_EQ(codes[i], 0xa5)
+              << kernels::simd_name(tier) << " n=" << n << " i=" << i;
+      }
     }
+  }
+}
+
+TEST(KernelsTest, UniformThresholdIndexBracketsUEff) {
+  constexpr std::uint64_t kSteps = 1ULL << 53;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> u_effs = {
+      0.0f,
+      -0.0f,
+      -1.0f,
+      1.0f,
+      std::nextafter(1.0f, 0.0f),
+      2.0f,
+      kInf,
+      -kInf,
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::denorm_min(),
+      std::numeric_limits<float>::min(),
+      uniform_at(0),
+      std::nextafter(uniform_at(0), 0.0f),
+      std::nextafter(uniform_at(0), 1.0f),
+      uniform_at(kSteps - 1),
+      0.5f};
+  Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    const auto u = static_cast<float>(rng.uniform());
+    u_effs.push_back(u);
+    u_effs.push_back(std::nextafter(u, 0.0f));
+  }
+  for (const float u_eff : u_effs) {
+    const std::uint64_t t = kernels::uniform_threshold_index(u_eff);
+    ASSERT_LE(t, kSteps) << u_eff;
+    if (t > 0) {
+      ASSERT_LT(uniform_at(t - 1), u_eff) << u_eff;
+    }
+    if (t < kSteps) {
+      ASSERT_FALSE(uniform_at(t) < u_eff) << u_eff;
+    }
+  }
+  EXPECT_EQ(kernels::uniform_threshold_index(0.0f), 0u);
+  EXPECT_EQ(kernels::uniform_threshold_index(-1.0f), 0u);
+  EXPECT_EQ(kernels::uniform_threshold_index(
+                std::numeric_limits<float>::quiet_NaN()),
+            0u);
+  EXPECT_EQ(kernels::uniform_threshold_index(2.0f), kSteps);
+  // The largest m rounds up to u = 1 exactly, so 1.0f leaves it clear.
+  EXPECT_LT(kernels::uniform_threshold_index(1.0f), kSteps);
+}
+
+TEST(KernelsTest, CodeThresholdMaskMatchesFloatOracle) {
+  Rng rng(29);
+  for (const kernels::SimdTier tier : host_tiers()) {
+    ScopedSimd scoped(tier);
+    for (std::size_t n : kCodeWidths) {
+      for (std::uint64_t prefix : code_prefixes()) {
+        std::vector<std::uint8_t> codes(n);
+        kernels::hashed_code_fill(prefix, codes);
+        std::vector<float> u_effs = {0.0f,
+                                     -1.0f,
+                                     1.0f,
+                                     std::nextafter(1.0f, 0.0f),
+                                     2.0f,
+                                     std::numeric_limits<float>::quiet_NaN()};
+        // A column's own value puts the threshold inside its code, so the
+        // tied columns are re-hashed on both sides of it.
+        if (n > 0) {
+          for (std::size_t c : {std::size_t{0}, n / 2, n - 1}) {
+            const auto u = static_cast<float>(
+                uniform_from_hash(hash_combine(prefix, c)));
+            u_effs.insert(u_effs.end(), {u, std::nextafter(u, 0.0f),
+                                         std::nextafter(u, 1.0f)});
+          }
+        }
+        for (int i = 0; i < 4; ++i)
+          u_effs.push_back(static_cast<float>(rng.uniform()));
+        for (const float u_eff : u_effs) {
+          const BitVec mask =
+              kernels::code_threshold_mask(prefix, codes, u_eff);
+          ASSERT_EQ(mask.size(), n);
+          ASSERT_EQ(mask.words(), float_oracle_mask(prefix, n, u_eff).words())
+              << kernels::simd_name(tier) << " n=" << n
+              << " prefix=" << prefix << " u_eff=" << u_eff;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, CodeMaskMatchesNormalDomain) {
+  // Monotone equivalence contract used by the threshold-mask paths: the
+  // mask bit computed from the codes in the uniform domain (u < Phi(z))
+  // must equal the bit computed in the normal domain (zeta < z) for every
+  // column.
+  constexpr std::size_t n = 8192;
+  const std::uint64_t prefix = hash_combine(0xabcdef, 17);
+  std::vector<std::uint8_t> codes(n);
+  std::vector<float> zetas(n);
+  kernels::hashed_code_fill(prefix, codes);
+  kernels::hashed_normal_fill(prefix, zetas);
+  for (const double z : {-2.5, -0.7, 0.0, 0.4, 1.9, 3.2}) {
+    const auto u_eff = static_cast<float>(normal_cdf(z));
+    const auto z_eff = static_cast<float>(z);
+    const BitVec from_codes =
+        kernels::code_threshold_mask(prefix, codes, u_eff);
+    std::size_t disagree = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      disagree += from_codes.get(i) != (zetas[i] < z_eff);
+    // float rounding on both sides can flip a column sitting exactly on
+    // the threshold; allow a vanishing number of boundary columns.
+    EXPECT_LE(disagree, 2u) << "z=" << z;
   }
 }
 
@@ -491,14 +649,6 @@ TEST(KernelsTest, VariationNormalFillMatchesScalar) {
 // the host lacks AVX2 — set_simd_for_test ignores a forced tier the
 // machine can't run.
 
-class ScopedSimd {
- public:
-  explicit ScopedSimd(kernels::SimdTier tier) {
-    kernels::set_simd_for_test(tier);
-  }
-  ~ScopedSimd() { kernels::set_simd_for_test(std::nullopt); }
-};
-
 class SimdTierEquivalence : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -523,16 +673,13 @@ TEST_F(SimdTierEquivalence, MaskKernelsBitIdentical) {
     std::vector<double> noise(n);
     rng.normal_fill(noise);
 
-    BitVec t_scalar, l_scalar, o_scalar;
+    BitVec l_scalar, o_scalar;
     {
       ScopedSimd scoped(kernels::SimdTier::scalar);
-      t_scalar = kernels::threshold_mask(zetas, 0.3f);
       l_scalar = kernels::latch_race_mask(zetas, 0.47);
       o_scalar = kernels::offset_noise_mask(zetas, noise, 0.35);
     }
     ScopedSimd scoped(kernels::SimdTier::avx2);
-    EXPECT_EQ(kernels::threshold_mask(zetas, 0.3f).words(), t_scalar.words())
-        << "threshold_mask n=" << n;
     EXPECT_EQ(kernels::latch_race_mask(zetas, 0.47).words(), l_scalar.words())
         << "latch_race_mask n=" << n;
     EXPECT_EQ(kernels::offset_noise_mask(zetas, noise, 0.35).words(),
@@ -596,28 +743,6 @@ TEST_F(SimdTierEquivalence, HashedNormalFillBitIdentical) {
   }
 }
 
-TEST_F(SimdTierEquivalence, HashedUniformFillBitIdentical) {
-  // The uniform fill skips the inverse CDF, so the only rounding step is
-  // double -> float; the AVX2 cvtpd2ps conversion must match the scalar
-  // static_cast on every lane.
-  for (std::size_t n : kSizes) {
-    for (std::uint64_t prefix :
-         {std::uint64_t{0}, std::uint64_t{0x5eed'5eed'5eed'5eedULL},
-          hash_combine(99, 3)}) {
-      std::vector<float> scalar(n);
-      {
-        ScopedSimd scoped(kernels::SimdTier::scalar);
-        kernels::hashed_uniform_fill(prefix, scalar);
-      }
-      ScopedSimd scoped(kernels::SimdTier::avx2);
-      std::vector<float> avx2(n);
-      kernels::hashed_uniform_fill(prefix, avx2);
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(avx2[i], scalar[i]) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
 TEST_F(SimdTierEquivalence, CounterNormalFillBitIdentical) {
   // Bases straddling the 8-lane grain exercise the vector path's index
   // arithmetic; 8192 draws reach the Acklam tail fixup lanes.
@@ -671,29 +796,6 @@ TEST_F(SimdTierEquivalence, ResolveWordBitIdentical) {
   const auto avx2 = resolve_case(cs);
   for (std::size_t wi = 0; wi < scalar.size(); ++wi)
     expect_same(avx2[wi], scalar[wi], wi);
-}
-
-TEST_F(SimdTierEquivalence, HashedUniformFillMatchesNormalDomain) {
-  // Monotone equivalence contract used by the threshold-mask paths:
-  // the mask bit computed in the uniform domain (u < Phi(z)) must equal
-  // the bit computed in the normal domain (zeta < z) for every column.
-  constexpr std::size_t n = 8192;
-  const std::uint64_t prefix = hash_combine(0xabcdef, 17);
-  std::vector<float> us(n), zetas(n);
-  kernels::hashed_uniform_fill(prefix, us);
-  kernels::hashed_normal_fill(prefix, zetas);
-  for (const double z : {-2.5, -0.7, 0.0, 0.4, 1.9, 3.2}) {
-    const auto u_eff = static_cast<float>(normal_cdf(z));
-    const auto z_eff = static_cast<float>(z);
-    const BitVec from_uniform = kernels::threshold_mask(us, u_eff);
-    const BitVec from_normal = kernels::threshold_mask(zetas, z_eff);
-    std::size_t disagree = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      disagree += from_uniform.get(i) != from_normal.get(i);
-    // float rounding on both sides can flip a column sitting exactly on
-    // the threshold; allow a vanishing number of boundary columns.
-    EXPECT_LE(disagree, 2u) << "z=" << z;
-  }
 }
 
 }  // namespace
