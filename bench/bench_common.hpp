@@ -255,9 +255,10 @@ class HarnessReport {
                 << Table::num(p.slots_saved_pct(), 1) << "% saved)\n";
   }
 
-  /// Records scalar-vs-AVX2 per-kernel timings (the "simd" section).
-  /// SIMD dispatch is host-capability dependent, so these entries carry
-  /// no plan key — only the thread count the report ran at.
+  /// Records scalar-vs-AVX2 per-kernel timings (the "simd" section),
+  /// replacing the section's previous rows. SIMD dispatch is
+  /// host-capability dependent, so these entries carry no plan key —
+  /// only the thread count the report ran at.
   void record_simd(const std::vector<SimdRecord>& records) {
     simd_ = records;
     if (simd_.empty()) return;
@@ -356,17 +357,16 @@ class HarnessReport {
   /// measured field ("figure"/"plan"/"threads"/"baseline" for figures,
   /// "kernel"/"plan"/"threads" for kernels, "counter"/"plan"/"threads"
   /// for resilience counters, "metric"/"plan"/"threads" for metrics,
-  /// "simd_kernel"/"threads" for simd timings, "program"/"plan" for
-  /// optimizer accounting). Cut at whichever marker appears first —
-  /// figure entries lead with "seconds", kernel entries with "calls",
-  /// resilience entries with "count", metric entries with "kind", simd
-  /// entries with "scalar_us", program_opt entries with
-  /// "commands_before".
+  /// "program"/"plan" for optimizer accounting). Cut at whichever marker
+  /// appears first — figure entries lead with "seconds", kernel entries
+  /// with "calls", resilience entries with "count", metric entries with
+  /// "kind", program_opt entries with "commands_before". Simd rows need
+  /// no key: a simd report replaces its whole section.
   static std::string entry_key(const std::string& line) {
     auto cut = std::string::npos;
     for (const char* marker :
          {", \"seconds\":", ", \"calls\":", ", \"count\":", ", \"kind\":",
-          ", \"scalar_us\":", ", \"commands_before\":"}) {
+          ", \"commands_before\":"}) {
       const auto pos = line.find(marker);
       if (pos != std::string::npos) cut = std::min(cut, pos);
     }
@@ -396,6 +396,9 @@ class HarnessReport {
           !is_program_opt)
         continue;
       if (line.back() == ',') line.pop_back();
+      // A simd report times every kernel there is: it replaces the whole
+      // section, so a row of a kernel it no longer times goes too.
+      if (is_simd && !simd_.empty()) continue;
       bool replaced = false;
       for (const HarnessRecord& r : records_)
         if (entry_key(line) == entry_key(entry_json(r))) replaced = true;
@@ -407,8 +410,6 @@ class HarnessReport {
         if (entry_key(line) == entry_key(gauge_json(g))) replaced = true;
       for (const auto& h : histograms_)
         if (entry_key(line) == entry_key(histogram_json(h))) replaced = true;
-      for (const auto& s : simd_)
-        if (entry_key(line) == entry_key(simd_json(s))) replaced = true;
       for (const auto& p : program_opt_)
         if (entry_key(line) == entry_key(program_opt_json(p))) replaced = true;
       if (replaced) continue;

@@ -138,7 +138,7 @@ void Executor::execute_one(const TimedCommand& cmd, double t,
       break;
   }
   result.energy_pj += command_energy(
-      cmd, *chip_, static_cast<double>(bank.open_rows().size()));
+      cmd, *chip_, static_cast<double>(bank.open_row_count()));
 }
 
 /// The injected-fault command path. Dropped or corrupted commands never

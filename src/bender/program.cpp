@@ -160,6 +160,14 @@ Program& Program::set_name(std::string name) {
   return *this;
 }
 
+Program& Program::repoint(dram::RowAddr row, const BitVec* payload) {
+  for (TimedCommand& c : commands_) {
+    if (c.kind == CommandKind::kAct) c.row = row;
+    if (c.kind == CommandKind::kWr && payload != nullptr) c.data = *payload;
+  }
+  return *this;
+}
+
 double Program::duration_ns() const {
   if (commands_.empty()) return 0.0;
   const std::uint64_t last =

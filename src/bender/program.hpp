@@ -104,6 +104,15 @@ class Program {
   /// Names the program for verify diagnostics ("fig3_apa", ...).
   Program& set_name(std::string name);
 
+  /// Re-points a built one-row program at another row: every ACT opens
+  /// `row` and, given a `payload`, every WR writes a copy of it. Slots,
+  /// extent, name and intents stay as they are, so a program re-pointed
+  /// from one row's build equals the build for the new row and payload
+  /// whenever the builder's schedule does not depend on either (the
+  /// engine's write_row, read_row and frac). A WR payload no larger than
+  /// the one it replaces is copied into the same storage.
+  Program& repoint(dram::RowAddr row, const BitVec* payload = nullptr);
+
   const std::string& name() const noexcept { return name_; }
   const std::vector<verify::Intent>& intents() const noexcept { return intents_; }
 

@@ -13,6 +13,20 @@ namespace {
 constexpr std::size_t kWordBits = 64;
 
 std::size_t words_needed(std::size_t bits) { return (bits + kWordBits - 1) / kWordBits; }
+
+/// BitVec::majority over words [w, w + B) of every input, into dst.
+template <std::size_t B>
+void majority_block(const std::vector<const BitVec*>& inputs, std::size_t w,
+                    std::size_t n_planes, std::size_t half,
+                    std::uint64_t* dst) {
+  std::array<std::uint64_t, 64 * B> storage;
+  const std::span<std::uint64_t> planes(storage.data(), n_planes * B);
+  std::fill(planes.begin(), planes.end(), 0);
+  for (const BitVec* v : inputs)
+    bitslice_add<B>(planes,
+                    std::span<const std::uint64_t, B>(v->words().data() + w, B));
+  bitslice_greater<B>(planes, half, std::span<std::uint64_t, B>(dst + w, B));
+}
 }  // namespace
 
 BitVec::BitVec(std::size_t size, bool value)
@@ -126,13 +140,12 @@ BitVec BitVec::majority(const std::vector<const BitVec*>& inputs) {
   BitVec out(n);
   const std::size_t half = inputs.size() / 2;
   const auto n_planes = static_cast<std::size_t>(std::bit_width(inputs.size()));
-  std::array<std::uint64_t, 64> storage{};
-  const std::span<std::uint64_t> planes(storage.data(), n_planes);
-  for (std::size_t w = 0; w < out.words_.size(); ++w) {
-    std::fill(planes.begin(), planes.end(), 0);
-    for (const BitVec* v : inputs) bitslice_add(planes, v->words_[w]);
-    out.words_[w] = bitslice_greater(planes, half);
-  }
+  std::uint64_t* const dst = out.words_.data();
+  const std::size_t words = out.words_.size();
+  std::size_t w = 0;
+  for (; w + kMajorityBlockWords <= words; w += kMajorityBlockWords)
+    majority_block<kMajorityBlockWords>(inputs, w, n_planes, half, dst);
+  for (; w < words; ++w) majority_block<1>(inputs, w, n_planes, half, dst);
   out.clear_trailing();
   return out;
 }

@@ -10,36 +10,64 @@ namespace simra {
 
 class Rng;
 
-/// Adds the 64 one-bit lanes of `word` into a bit-sliced vertical
-/// counter: planes[p] holds bit p of every lane's running count, so one
-/// add is a ripple carry over at most planes.size() word ops instead of
-/// 64 scalar increments. A carry out of the top plane is dropped, so
-/// counting n words needs bit_width(n) planes.
+/// Adds the one-bit lanes of a block of `B` words into bit-sliced
+/// vertical counters: plane p of word j is planes[p * B + j], and holds
+/// bit p of each of that word's 64 lanes' running count, so one add is a
+/// ripple carry over at most planes.size() / B plane blocks instead of
+/// 64 * B scalar increments. A carry out of the top plane is dropped, so
+/// counting n words needs bit_width(n) planes. The chain runs to the top
+/// plane with no early exit, so a block of words vectorizes.
+template <std::size_t B>
 inline void bitslice_add(std::span<std::uint64_t> planes,
-                         std::uint64_t word) noexcept {
-  for (std::size_t p = 0; word != 0 && p < planes.size(); ++p) {
-    const std::uint64_t prev = planes[p];
-    planes[p] ^= word;
-    word &= prev;
+                         std::span<const std::uint64_t, B> words) noexcept {
+  std::uint64_t carry[B];
+  for (std::size_t j = 0; j < B; ++j) carry[j] = words[j];
+  for (std::size_t p = 0; p + B <= planes.size(); p += B) {
+    for (std::size_t j = 0; j < B; ++j) {
+      const std::uint64_t prev = planes[p + j];
+      planes[p + j] ^= carry[j];
+      carry[j] &= prev;
+    }
   }
 }
 
-/// The lanes whose bit-sliced count (planes as bitslice_add builds them)
-/// exceeds `half`, decided from the top plane down: a lane is greater at
-/// the first plane where its count has a 1 and `half` a 0, while every
-/// higher plane matched. `half` must fit in planes.size() bits.
+/// bitslice_add of one word (B = 1).
+inline void bitslice_add(std::span<std::uint64_t> planes,
+                         std::uint64_t word) noexcept {
+  bitslice_add<1>(planes, std::span<const std::uint64_t, 1>(&word, 1));
+}
+
+/// For each word j of a block, the lanes whose bit-sliced count (planes
+/// as bitslice_add<B> builds them) exceeds `half`, into out[j]; decided
+/// from the top plane down: a lane is greater at the first plane where
+/// its count has a 1 and `half` a 0, while every higher plane matched.
+/// `half` must fit in planes.size() / B bits.
+template <std::size_t B>
+inline void bitslice_greater(std::span<const std::uint64_t> planes,
+                             std::size_t half,
+                             std::span<std::uint64_t, B> out) noexcept {
+  std::uint64_t greater[B] = {};
+  std::uint64_t equal[B];
+  for (std::size_t j = 0; j < B; ++j) equal[j] = ~0ULL;
+  for (std::size_t p = planes.size() / B; p-- > 0;) {
+    const std::uint64_t* plane = planes.data() + p * B;
+    if ((half >> p) & 1) {
+      for (std::size_t j = 0; j < B; ++j) equal[j] &= plane[j];
+    } else {
+      for (std::size_t j = 0; j < B; ++j) {
+        greater[j] |= equal[j] & plane[j];
+        equal[j] &= ~plane[j];
+      }
+    }
+  }
+  for (std::size_t j = 0; j < B; ++j) out[j] = greater[j];
+}
+
+/// bitslice_greater of one word (B = 1).
 inline std::uint64_t bitslice_greater(std::span<const std::uint64_t> planes,
                                       std::size_t half) noexcept {
   std::uint64_t greater = 0;
-  std::uint64_t equal = ~0ULL;
-  for (std::size_t p = planes.size(); p-- > 0;) {
-    if ((half >> p) & 1) {
-      equal &= planes[p];
-    } else {
-      greater |= equal & planes[p];
-      equal &= ~planes[p];
-    }
-  }
+  bitslice_greater<1>(planes, half, std::span<std::uint64_t, 1>(&greater, 1));
   return greater;
 }
 
@@ -84,9 +112,11 @@ class BitVec {
   bool operator==(const BitVec& other) const;
 
   /// Bitwise majority across an odd number of equally sized vectors,
-  /// word-parallel: each word is counted in bit-sliced planes
-  /// (bitslice_add) and compared against half the input count.
+  /// word-parallel: each block of kMajorityBlockWords words is counted in
+  /// bit-sliced planes (bitslice_add<B>) and compared against half the
+  /// input count; the words past the last full block go one at a time.
   static BitVec majority(const std::vector<const BitVec*>& inputs);
+  static constexpr std::size_t kMajorityBlockWords = 8;
 
   /// Copies `len` bits starting at `pos` into a new vector.
   BitVec slice(std::size_t pos, std::size_t len) const;

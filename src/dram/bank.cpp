@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
@@ -195,13 +196,12 @@ void Bank::resolve_simultaneous(RowAddr second_local,
   const std::span<const RowAddr> driven = stepper_.driven();
   write_masks_.clear();
 
-  const BitVec source = row_buffer_;  // first row's data, held by the SAs.
+  const BitVec& source = row_buffer_;  // first row's data, held by the SAs.
   const BitlineContext bctx = bitline_ctx();
 
   // Charge-share resolution over the driven rows (the MAJ outcome on
   // bitlines whose SA had not latched the source).
-  std::vector<ConnectedRow> rows;
-  rows.reserve(driven.size());
+  connected_.clear();
   for (RowAddr r : driven) {
     ConnectedRow cr;
     cr.local_row = r;
@@ -209,20 +209,22 @@ void Bank::resolve_simultaneous(RowAddr second_local,
     cr.weight = (r == first_local)
                     ? 1.0 + apa_.first_row_extra_weight
                     : apa_.second_group_weight;
-    rows.push_back(cr);
+    connected_.push_back(cr);
   }
-  const double pattern_noise = ElectricalModel::estimate_pattern_noise(rows);
+  const double pattern_noise =
+      ElectricalModel::estimate_pattern_noise(connected_);
   ChargeShareResult share = ctx_.electrical->resolve_charge_share(
-      bctx, rows, pattern_noise, *ctx_.env, apa_, *ctx_.rng);
+      bctx, connected_, pattern_noise, *ctx_.env, apa_, *ctx_.rng);
 
   // Blend with the SA-latched (copy) outcome per bitline. The latch-race
   // mask is resolved once for the whole operation instead of re-querying
-  // bitline_latched() column by column (and row by row below).
-  const std::size_t columns = ctx_.profile->geometry.columns;
+  // bitline_latched() column by column (and row by row below); a pure
+  // charge share (latch_fraction 0) latches no bitline and needs none.
+  const bool latching = apa_.latch_fraction > 0.0;
   const std::size_t n_dest = driven.empty() ? 0 : driven.size() - 1;
-  BitVec resolved = share.resolved;
-  BitVec latched(columns);
-  if (apa_.latch_fraction > 0.0) {
+  BitVec& resolved = share.resolved;
+  BitVec latched;
+  if (latching) {
     latched = ctx_.electrical->latched_mask(bctx, apa_);
     resolved.assign_masked(source, latched);
   }
@@ -232,7 +234,7 @@ void Bank::resolve_simultaneous(RowAddr second_local,
   // stability model); charge-share bitlines restore what they sensed.
   for (RowAddr r : driven) {
     BitVec& cells = s.row_data(r);
-    if (apa_.latch_fraction > 0.0 && r != first_local && n_dest > 0) {
+    if (latching && r != first_local && n_dest > 0) {
       const BitVec& stable = ctx_.electrical->copy_stable_mask(
           bctx, r, n_dest, resolved, *ctx_.env);
       // Cells take the resolved value except where a latched bitline's
@@ -244,7 +246,7 @@ void Bank::resolve_simultaneous(RowAddr second_local,
     }
     s.set_row_state(r, RowState::kValid);
   }
-  row_buffer_ = resolved;
+  std::swap(row_buffer_, resolved);
   apply_apa_disturbance(s);
 }
 
@@ -278,6 +280,11 @@ void Bank::write(ColAddr start_bit, const BitVec& data, double t_ns) {
   Subarray& s = subarray(stepper_.open_sa());
   const std::span<const RowAddr> driven = stepper_.driven();
   const bool full_row = start_bit == 0 && data.size() == row_buffer_.size();
+  if (full_row && driven.size() == 1) {
+    // One open row takes the whole buffer: its overdrive mask is all ones.
+    s.row_data(driven.front()) = row_buffer_;
+    return;
+  }
   BitVec window;
   if (!full_row) {
     window = BitVec(row_buffer_.size());

@@ -91,6 +91,10 @@ class Bank {
   bool is_open() const noexcept { return stepper_.open(); }
   /// Global row addresses currently open (asserted and driven).
   std::vector<RowAddr> open_rows() const;
+  /// open_rows().size(), without building the list.
+  std::size_t open_row_count() const noexcept {
+    return is_open() ? stepper_.driven().size() : 0;
+  }
   const BitVec& row_buffer() const noexcept { return row_buffer_; }
 
   /// Direct cell access for test setup and result inspection, bypassing
@@ -138,6 +142,7 @@ class Bank {
 
   BankStepper stepper_;
   std::vector<BitVec> write_masks_;  ///< lazy per-open-row WR overdrive masks.
+  std::vector<ConnectedRow> connected_;  ///< resolve_simultaneous's rows.
   BitVec row_buffer_;
   unsigned differing_fields_ = 0;
   ApaDecision apa_;

@@ -89,7 +89,7 @@ class BankStepper {
       v.kind = Act::kSimultaneous;
       v.prior = release(/*frac=*/false);
       latches_.latch(local);
-      driven_ = latches_.asserted_rows();
+      latches_.asserted_rows(driven_);
       phase_ = Phase::kOpen;
       t_last_act_ = t_ns;
     } else {

@@ -72,16 +72,24 @@ void hashed_code_fill(std::uint64_t prefix, std::span<std::uint8_t> out) {
 }
 
 std::uint64_t uniform_threshold_index(float u_eff) noexcept {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = kUniformSteps;
-  while (lo < hi) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (static_cast<float>(uniform_from_hash(mid << 11)) < u_eff)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
+  if (!(u_eff > 0.0f)) return 0;  // <= 0 or NaN: no float(u) lies below.
+  if (u_eff > 1.0f) return kUniformSteps;
+  // float(u) < u_eff exactly when u lies below the midpoint between u_eff
+  // and the float below it (at the midpoint itself the tie may round
+  // either way), and u(m) < mid exactly when m < mid * 2^53 - 0.5. The
+  // midpoint is exact in double; the product and the subtraction may
+  // round, so the same monotone predicate moves the estimate onto T.
+  const double below_u = static_cast<double>(std::nextafter(u_eff, 0.0f));
+  const double mid = (static_cast<double>(u_eff) + below_u) * 0.5;
+  auto t = static_cast<std::uint64_t>(
+      std::clamp(std::ceil(mid * 0x1.0p53 - 0.5), 0.0,
+                 static_cast<double>(kUniformSteps)));
+  const auto below = [u_eff](std::uint64_t m) {
+    return static_cast<float>(uniform_from_hash(m << 11)) < u_eff;
+  };
+  while (t > 0 && !below(t - 1)) --t;
+  while (t < kUniformSteps && below(t)) ++t;
+  return t;
 }
 
 std::uint64_t tied_code_bits(std::uint64_t prefix, std::size_t base,

@@ -50,8 +50,9 @@ void hashed_code_fill(std::uint64_t prefix, std::span<std::uint8_t> out);
 /// The smallest T in [0, 2^53] with float(u(T)) >= u_eff, where
 /// u(m) = uniform_from_hash(m << 11). float(u(m)) never decreases as m
 /// grows, so float(u(m)) < u_eff holds exactly when m < T. A u_eff <= 0
-/// or NaN gives 0, one above every float(u(m)) gives 2^53. Found by
-/// bisection, 54 steps.
+/// or NaN gives 0, one above every float(u(m)) gives 2^53. Computed from
+/// the midpoint between u_eff and the float below it, then moved onto T
+/// by the predicate itself (at most a step or two).
 std::uint64_t uniform_threshold_index(float u_eff) noexcept;
 
 /// mask[c] = float(uniform_from_hash(hash_combine(prefix, c))) < u_eff,

@@ -57,10 +57,13 @@ RowAddr PredecoderLayout::compose(std::span<const unsigned> digits) const {
 }
 
 unsigned PredecoderLayout::differing_fields(RowAddr a, RowAddr b) const {
-  const auto da = digits(a);
-  const auto db = digits(b);
+  if (a >= rows_ || b >= rows_) throw std::out_of_range("local row out of range");
   unsigned k = 0;
-  for (std::size_t i = 0; i < da.size(); ++i) k += (da[i] != db[i]) ? 1u : 0u;
+  for (unsigned f : fanouts_) {
+    k += (a % f != b % f) ? 1u : 0u;
+    a /= f;
+    b /= f;
+  }
   return k;
 }
 
@@ -103,8 +106,13 @@ DecoderLatches::DecoderLatches(const PredecoderLayout* layout)
     : layout_(layout), latched_(layout->field_count(), 0) {}
 
 void DecoderLatches::latch(RowAddr local_row) {
-  const auto d = layout_->digits(local_row);
-  for (std::size_t i = 0; i < d.size(); ++i) latched_[i] |= 1u << d[i];
+  if (local_row >= layout_->rows())
+    throw std::out_of_range("local row out of range");
+  for (std::size_t i = 0; i < latched_.size(); ++i) {
+    const unsigned f = layout_->fanout(i);
+    latched_[i] |= 1u << (local_row % f);
+    local_row /= f;
+  }
 }
 
 void DecoderLatches::clear() {
@@ -124,21 +132,36 @@ std::size_t DecoderLatches::asserted_count() const noexcept {
 }
 
 std::vector<RowAddr> DecoderLatches::asserted_rows() const {
-  if (!any_latched()) return {};
-  std::vector<RowAddr> rows{0};
+  std::vector<RowAddr> rows;
+  asserted_rows(rows);
+  return rows;
+}
+
+void DecoderLatches::asserted_rows(std::vector<RowAddr>& rows) const {
+  rows.clear();
+  if (!any_latched()) return;
+  rows.push_back(0);
   RowAddr stride = 1;
   for (std::size_t i = 0; i < latched_.size(); ++i) {
-    std::vector<RowAddr> next;
-    for (unsigned out = 0; out < layout_->fanout(i); ++out) {
-      if ((latched_[i] >> out) & 1u) {
-        for (RowAddr r : rows) next.push_back(r + out * stride);
-      }
+    const std::uint32_t outs = latched_[i];
+    if (outs == 0) {
+      rows.clear();
+      return;
     }
-    rows = std::move(next);
+    // The lowest latched output shifts the rows so far in place; each
+    // other one appends a shifted copy of them.
+    const auto first = static_cast<RowAddr>(std::countr_zero(outs));
+    const std::size_t n = rows.size();
+    for (std::size_t k = 0; k < n; ++k) rows[k] += first * stride;
+    for (std::uint32_t rest = outs & (outs - 1); rest != 0;
+         rest &= rest - 1) {
+      const auto out = static_cast<RowAddr>(std::countr_zero(rest));
+      for (std::size_t k = 0; k < n; ++k)
+        rows.push_back(rows[k] + (out - first) * stride);
+    }
     stride *= layout_->fanout(i);
   }
   std::sort(rows.begin(), rows.end());
-  return rows;
 }
 
 }  // namespace simra::dram

@@ -76,6 +76,8 @@ class DecoderLatches {
   /// All local rows whose wordlines assert under the current latch state
   /// (cartesian product of per-field latched outputs), sorted ascending.
   std::vector<RowAddr> asserted_rows() const;
+  /// The same rows into `rows`, replacing its contents in its storage.
+  void asserted_rows(std::vector<RowAddr>& rows) const;
 
   /// Number of asserted wordlines without materializing them.
   std::size_t asserted_count() const noexcept;

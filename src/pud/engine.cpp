@@ -7,10 +7,14 @@
 
 namespace simra::pud {
 
+using bender::CommandKind;
 using bender::Program;
 
 Engine::Engine(dram::Chip* chip) : chip_(chip), executor_(chip) {
   if (chip_ == nullptr) throw std::invalid_argument("engine needs a chip");
+  const std::size_t columns = chip_->profile().geometry.columns;
+  neutral_[0] = BitVec(columns, false);
+  neutral_[1] = BitVec(columns, true);
 }
 
 dram::RowAddr Engine::global_of(dram::SubarrayId sa,
@@ -18,9 +22,17 @@ dram::RowAddr Engine::global_of(dram::SubarrayId sa,
   return programs::global_row(sa, layout().rows(), local);
 }
 
+std::optional<Program>& Engine::row_program(RowProgram kind,
+                                            dram::BankId bank) {
+  if (bank >= row_programs_.size()) row_programs_.resize(bank + 1);
+  return row_programs_[bank][kind];
+}
+
 void Engine::write_row(dram::BankId bank, dram::RowAddr global_row,
                        const BitVec& data) {
-  executor_.run(programs::write_row(chip_->profile(), bank, global_row, data));
+  std::optional<Program>& p = row_program(kWriteRow, bank);
+  if (!p) p = programs::write_row(chip_->profile(), bank, global_row, data);
+  executor_.run(p->repoint(global_row, &data));
 }
 
 BitVec Engine::read_row(dram::BankId bank, dram::RowAddr global_row) {
@@ -30,13 +42,23 @@ BitVec Engine::read_row(dram::BankId bank, dram::RowAddr global_row) {
 
 BitVec Engine::read_row_prefix(dram::BankId bank, dram::RowAddr global_row,
                                std::size_t nbits) {
-  auto result =
-      executor_.run(programs::read_row(chip_->profile(), bank, global_row, nbits));
+  std::optional<Program>& p = row_program(kReadRow, bank);
+  // The RD length is built in; a different prefix rebuilds.
+  const auto reads_nbits = [nbits](const Program& built) {
+    for (const bender::TimedCommand& c : built.commands())
+      if (c.kind == CommandKind::kRd) return c.nbits == nbits;
+    return false;
+  };
+  if (!p || !reads_nbits(*p))
+    p = programs::read_row(chip_->profile(), bank, global_row, nbits);
+  auto result = executor_.run(p->repoint(global_row));
   return std::move(result.reads.front());
 }
 
 void Engine::frac(dram::BankId bank, dram::RowAddr global_row) {
-  executor_.run(programs::frac(chip_->profile(), bank, global_row));
+  std::optional<Program>& p = row_program(kFrac, bank);
+  if (!p) p = programs::frac(chip_->profile(), bank, global_row);
+  executor_.run(p->repoint(global_row));
 }
 
 void Engine::rowclone(dram::BankId bank, dram::RowAddr src_global,
@@ -76,15 +98,30 @@ void Engine::apa_then_write(dram::BankId bank, dram::SubarrayId sa,
       global_of(sa, group.row_second), data, timings));
 }
 
+void Engine::stage_neutral(dram::BankId bank, const programs::MajxRow& row) {
+  if (row.fill == programs::MajxFill::kFrac) {
+    frac(bank, row.global);
+  } else {
+    write_row(bank, row.global,
+              neutral_[row.fill == programs::MajxFill::kOnes]);
+  }
+}
+
 BitVec Engine::majx(dram::BankId bank, dram::SubarrayId sa,
                     const RowGroup& group, const MajxConfig& config) {
   if (config.x < 3 || config.x % 2 == 0)
     throw std::invalid_argument("MAJX needs an odd operand count >= 3");
   if (config.operands.size() != config.x)
     throw std::invalid_argument("operand count does not match X");
-  for (Program& p : programs::majx_staging(chip_->profile(), layout().rows(),
-                                           bank, sa, group, config.operands))
-    executor_.run(p);
+  programs::for_each_majx_row(
+      chip_->profile(), layout().rows(), sa, group, config.operands.size(),
+      [&](const programs::MajxRow& row) {
+        if (row.fill == programs::MajxFill::kOperand) {
+          write_row(bank, row.global, config.operands[row.operand]);
+        } else {
+          stage_neutral(bank, row);
+        }
+      });
   return apa(bank, sa, group, config.timings);
 }
 
@@ -97,8 +134,6 @@ BitVec Engine::majx_from_rows(dram::BankId bank, dram::SubarrayId sa,
     throw std::invalid_argument("MAJX needs an odd operand count >= 3");
   if (group.size() < x)
     throw std::invalid_argument("group smaller than the operand count");
-  const std::size_t replicas = group.size() / x;
-  const std::size_t data_rows = replicas * x;
 
   // Staging overwrites the group rows, so operand rows inside the group
   // would be clobbered before they are read.
@@ -108,25 +143,16 @@ BitVec Engine::majx_from_rows(dram::BankId bank, dram::SubarrayId sa,
           "operand rows must live outside the activation group");
   }
 
-  std::vector<dram::RowAddr> order;
-  order.reserve(group.size());
-  order.push_back(group.row_first);
-  for (dram::RowAddr r : group.rows)
-    if (r != group.row_first) order.push_back(r);
-
-  bool neutral_toggle = false;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const dram::RowAddr global = global_of(sa, order[i]);
-    if (i < data_rows) {
-      rowclone(bank, global_of(sa, operand_rows[i % x]), global);
-    } else if (chip_->profile().supports_frac) {
-      frac(bank, global);
-    } else {
-      BitVec fill(chip_->profile().geometry.columns, neutral_toggle);
-      neutral_toggle = !neutral_toggle;
-      write_row(bank, global, fill);
-    }
-  }
+  programs::for_each_majx_row(
+      chip_->profile(), layout().rows(), sa, group, x,
+      [&](const programs::MajxRow& row) {
+        if (row.fill == programs::MajxFill::kOperand) {
+          rowclone(bank, global_of(sa, operand_rows[row.operand]),
+                   row.global);
+        } else {
+          stage_neutral(bank, row);
+        }
+      });
   return apa(bank, sa, group, timings);
 }
 

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <optional>
 #include <vector>
 
 #include "bender/executor.hpp"
@@ -9,6 +11,10 @@
 #include "pud/row_group.hpp"
 
 namespace simra::pud {
+
+namespace programs {
+struct MajxRow;
+}
 
 /// Timing delays of the ACT -> PRE -> ACT sequence (§3.2): t1 between ACT
 /// and PRE, t2 between PRE and ACT. Both must be multiples of the 1.5 ns
@@ -128,8 +134,22 @@ class Engine {
                               dram::RowAddr rs_global, ApaTimings timings,
                               bool read_buffer) const;
 
+  /// The one-row programs write_row, read_row_prefix and frac run: one
+  /// built program per (kind, bank), re-pointed at each call's row and
+  /// payload (bender::Program::repoint) instead of rebuilt. Per bank
+  /// because the bank is in every command and in frac's intents.
+  enum RowProgram : std::size_t { kWriteRow, kReadRow, kFrac, kRowPrograms };
+  std::optional<bender::Program>& row_program(RowProgram kind,
+                                              dram::BankId bank);
+  /// Stages a neutral row of the MAJX sequence: Frac, or the all-0s or
+  /// all-1s fill on Frac-less vendors.
+  void stage_neutral(dram::BankId bank, const programs::MajxRow& row);
+
   dram::Chip* chip_;
   bender::Executor executor_;
+  std::vector<std::array<std::optional<bender::Program>, kRowPrograms>>
+      row_programs_;
+  BitVec neutral_[2];  ///< Frac-less neutral fills: all 0s, all 1s.
 };
 
 }  // namespace simra::pud

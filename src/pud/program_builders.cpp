@@ -122,43 +122,28 @@ std::vector<Program> majx_staging(const dram::VendorProfile& profile,
                                   dram::BankId bank, dram::SubarrayId sa,
                                   const RowGroup& group,
                                   std::span<const BitVec> operands) {
-  const auto x = static_cast<unsigned>(operands.size());
-  if (x < 3 || x % 2 == 0)
-    throw std::invalid_argument("MAJX needs an odd operand count >= 3");
-  if (group.size() < x)
-    throw std::invalid_argument("group smaller than the operand count");
-
-  const std::size_t replicas = group.size() / x;
-  const std::size_t data_rows = replicas * x;
-
-  // Assignment order: R_F first (it must carry data — a Frac'd R_F would
-  // be re-sensed and destroyed by the first ACT), then the rest of the
-  // group in address order.
-  std::vector<dram::RowAddr> order;
-  order.reserve(group.size());
-  order.push_back(group.row_first);
-  for (dram::RowAddr r : group.rows)
-    if (r != group.row_first) order.push_back(r);
-
   std::vector<Program> staged;
-  staged.reserve(order.size());
-  bool neutral_toggle = false;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const dram::RowAddr global = global_row(sa, rows_per_subarray, order[i]);
-    if (i < data_rows) {
-      staged.push_back(write_row(profile, bank, global, operands[i % x]));
-    } else if (profile.supports_frac) {
-      // True neutral rows at VDD/2.
-      staged.push_back(frac(profile, bank, global));
-    } else {
-      // Frac-less vendors (Mfr. M, fn. 5): emulate neutrality with
-      // alternating all-0s/all-1s rows. An odd leftover row biases the
-      // bitline by a full cell — the structural reason MAJ9 fails there.
-      BitVec fill(profile.geometry.columns, neutral_toggle);
-      neutral_toggle = !neutral_toggle;
-      staged.push_back(write_row(profile, bank, global, std::move(fill)));
-    }
-  }
+  staged.reserve(group.size());
+  for_each_majx_row(
+      profile, rows_per_subarray, sa, group, operands.size(),
+      [&](const MajxRow& row) {
+        switch (row.fill) {
+          case MajxFill::kOperand:
+            staged.push_back(
+                write_row(profile, bank, row.global, operands[row.operand]));
+            break;
+          case MajxFill::kFrac:
+            staged.push_back(frac(profile, bank, row.global));
+            break;
+          case MajxFill::kZeros:
+          case MajxFill::kOnes:
+            staged.push_back(write_row(
+                profile, bank, row.global,
+                BitVec(profile.geometry.columns,
+                       row.fill == MajxFill::kOnes)));
+            break;
+        }
+      });
   return staged;
 }
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "bender/program.hpp"
@@ -53,13 +55,64 @@ bender::Program apa_then_write(const dram::VendorProfile& profile,
                                dram::RowAddr rs_global, BitVec data,
                                ApaTimings timings);
 
-/// The MAJX staging sequence (§3.3): R_F first (it must carry data), then
-/// the rest of the group in address order; the X operands replicate
-/// floor(N/X) times, the N%X leftover rows become neutral rows (Frac, or
-/// the alternating all-0s/all-1s emulation on Frac-less vendors). Returns
-/// the per-row programs in issue order; the APA itself is built with
-/// `apa()`. Throws std::invalid_argument exactly as `Engine::majx` does
-/// for malformed configurations.
+/// What one row of the MAJX staging sequence receives.
+enum class MajxFill : std::uint8_t {
+  kOperand,  ///< a replica of operand `MajxRow::operand`.
+  kFrac,     ///< a true neutral row at VDD/2.
+  kZeros,    ///< Frac-less neutral emulation: all 0s, alternating with...
+  kOnes,     ///< ...all 1s, starting with all 0s.
+};
+
+/// One row of the MAJX staging sequence.
+struct MajxRow {
+  dram::RowAddr global = 0;
+  MajxFill fill = MajxFill::kOperand;
+  std::size_t operand = 0;  ///< operand index, for kOperand.
+};
+
+/// The MAJX staging order (§3.3), decided here and nowhere else: R_F
+/// first (it must carry data — a Frac'd R_F would be re-sensed and
+/// destroyed by the first ACT), then the rest of the group in address
+/// order; the `x` operands replicate floor(N/x) times, and the N%x
+/// leftover rows become neutral rows (Frac, or on Frac-less vendors,
+/// Mfr. M fn. 5, alternating all-0s/all-1s rows; an odd leftover row
+/// biases the bitline by a full cell — the structural reason MAJ9 fails
+/// there). Calls `visit(const MajxRow&)` once per group row, after
+/// throwing std::invalid_argument unless `x` is odd, >= 3 and at most
+/// the group size. Allocates nothing.
+template <class Visit>
+void for_each_majx_row(const dram::VendorProfile& profile,
+                       std::size_t rows_per_subarray, dram::SubarrayId sa,
+                       const RowGroup& group, std::size_t x, Visit&& visit) {
+  if (x < 3 || x % 2 == 0)
+    throw std::invalid_argument("MAJX needs an odd operand count >= 3");
+  if (group.size() < x)
+    throw std::invalid_argument("group smaller than the operand count");
+  const std::size_t data_rows = group.size() / x * x;
+  std::size_t i = 0;
+  bool ones = false;
+  const auto stage = [&](dram::RowAddr local) {
+    MajxRow row;
+    row.global = global_row(sa, rows_per_subarray, local);
+    if (i < data_rows) {
+      row.operand = i % x;
+    } else if (profile.supports_frac) {
+      row.fill = MajxFill::kFrac;
+    } else {
+      row.fill = ones ? MajxFill::kOnes : MajxFill::kZeros;
+      ones = !ones;
+    }
+    ++i;
+    visit(row);
+  };
+  stage(group.row_first);
+  for (dram::RowAddr r : group.rows)
+    if (r != group.row_first) stage(r);
+}
+
+/// The staging sequence of for_each_majx_row as one program per row, in
+/// staging order: write_row of the operand or of the all-0s/all-1s fill,
+/// or frac. The APA itself is built with `apa()`.
 std::vector<bender::Program> majx_staging(const dram::VendorProfile& profile,
                                           std::size_t rows_per_subarray,
                                           dram::BankId bank,

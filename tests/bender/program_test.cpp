@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "verify/intent.hpp"
+
 namespace simra::bender {
 namespace {
 
@@ -185,6 +187,66 @@ TEST(Program, AppendRespectsCallerInsertedSpacing) {
   a.delay_at_least(Nanoseconds{6.0}).append(b);
   ASSERT_EQ(a.commands().size(), 2u);
   EXPECT_EQ(a.commands()[1].slot, 4u);  // 6 ns = 4 slots after the ACT.
+}
+
+/// A named one-row program with intents: ACT, WR(payload), RD, PRE.
+Program one_row_program(dram::RowAddr row, BitVec payload) {
+  Program p;
+  p.set_name("one_row")
+      .expect(verify::Intent::violate(verify::RuleId::kTras, 2, "one_row"));
+  p.act(2, row)
+      .delay_at_least(Nanoseconds{13.5})
+      .wr(2, 0, std::move(payload))
+      .delay_at_least(Nanoseconds{15.0})
+      .rd(2, 0, 64)
+      .delay(Nanoseconds{3.0})
+      .pre(2)
+      .delay_at_least(Nanoseconds{13.5});
+  return p;
+}
+
+void expect_same_program(const Program& a, const Program& b) {
+  EXPECT_EQ(a.name(), b.name());
+  EXPECT_EQ(a.extent_slots(), b.extent_slots());
+  EXPECT_EQ(a.cursor_slot(), b.cursor_slot());
+  ASSERT_EQ(a.intents().size(), b.intents().size());
+  for (std::size_t i = 0; i < a.intents().size(); ++i) {
+    EXPECT_EQ(a.intents()[i].rule, b.intents()[i].rule);
+    EXPECT_EQ(a.intents()[i].bank, b.intents()[i].bank);
+    EXPECT_EQ(a.intents()[i].label, b.intents()[i].label);
+    EXPECT_EQ(a.intents()[i].check, b.intents()[i].check);
+  }
+  ASSERT_EQ(a.commands().size(), b.commands().size());
+  for (std::size_t i = 0; i < a.commands().size(); ++i) {
+    const TimedCommand& x = a.commands()[i];
+    const TimedCommand& y = b.commands()[i];
+    EXPECT_EQ(x.slot, y.slot) << i;
+    EXPECT_EQ(x.kind, y.kind) << i;
+    EXPECT_EQ(x.bank, y.bank) << i;
+    EXPECT_EQ(x.row, y.row) << i;
+    EXPECT_EQ(x.col, y.col) << i;
+    EXPECT_EQ(x.nbits, y.nbits) << i;
+    EXPECT_EQ(x.data, y.data) << i;
+    EXPECT_EQ(x.a10, y.a10) << i;
+  }
+}
+
+TEST(Program, RepointChangesOnlyTheRowAndPayload) {
+  BitVec a(130);
+  BitVec b(130);
+  a.set_range(3, 40, true);
+  b.set_range(90, 17, true);
+  Program p = one_row_program(10, a);
+
+  // Row only: the payload stays.
+  p.repoint(77);
+  expect_same_program(p, one_row_program(77, a));
+  // Row and payload.
+  p.repoint(5, &b);
+  expect_same_program(p, one_row_program(5, b));
+  // Back again: nothing of the first build was lost on the way.
+  p.repoint(10, &a);
+  expect_same_program(p, one_row_program(10, a));
 }
 
 }  // namespace

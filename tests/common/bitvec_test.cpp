@@ -96,12 +96,17 @@ TEST(BitVec, EqualityIncludesSize) {
 
 TEST(BitVec, MajorityMatchesPerBitCount) {
   // Every odd X up to 63 plus one past 128 (eight count planes), at widths
-  // around the word boundaries.
+  // around the word boundaries and around majority()'s word block, whose
+  // tail words go one at a time.
   std::vector<unsigned> xs;
   for (unsigned x = 1; x <= 63; x += 2) xs.push_back(x);
   xs.push_back(129);
+  constexpr std::size_t kBlockBits = BitVec::kMajorityBlockWords * 64;
   Rng rng(5);
-  for (const std::size_t width : {1u, 63u, 64u, 65u, 200u, 8192u}) {
+  for (const std::size_t width :
+       {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+        std::size_t{200}, kBlockBits - 1, kBlockBits, kBlockBits + 1,
+        std::size_t{8192}, std::size_t{16384}}) {
     std::vector<BitVec> rows(129, BitVec(width));
     for (BitVec& r : rows) r.randomize(rng);
     for (const unsigned x : xs) {

@@ -61,6 +61,7 @@ TEST_P(BankFuzzTest, RandomCommandSequencesPreserveInvariants) {
 
     // Invariants after every command:
     const auto open = bank.open_rows();
+    ASSERT_EQ(bank.open_row_count(), open.size());
     if (!bank.is_open()) {
       ASSERT_TRUE(open.empty());
     } else {

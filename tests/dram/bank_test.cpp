@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "dram/chip.hpp"
 
@@ -233,6 +236,48 @@ TEST(BankSamsung, GatesViolatedTimings) {
   EXPECT_EQ(b.stats().gated_commands, 1u);
   EXPECT_EQ(b.stats().simultaneous_activations, 0u);
   EXPECT_EQ(b.backdoor_row(0), marker);
+}
+
+/// hash_combine chain over the cell words of `rows`.
+std::uint64_t cells_digest(const Bank& b, std::span<const RowAddr> rows) {
+  std::uint64_t h = 0;
+  for (RowAddr r : rows)
+    for (std::uint64_t w : b.backdoor_row(r).words()) h = hash_combine(h, w);
+  return h;
+}
+
+// Cell contents after a full WR and a partial WR to one open row and to
+// a four-row simultaneously open group, recorded before a full WR to one
+// open row assigned the row buffer straight into the cells.
+TEST_F(BankTest, WriteShapesKeepTheirRecordedCells) {
+  Bank& b = bank();
+  Rng rng(71);
+  const auto random_bits = [&](std::size_t n) {
+    BitVec v(n);
+    v.randomize(rng);
+    return v;
+  };
+  const std::vector<RowAddr> group = chip_.layout().activation_group(0, 7);
+  for (RowAddr r : group) b.backdoor_row(r) = random_bits(columns());
+  b.backdoor_row(100) = random_bits(columns());
+  const RowAddr single[] = {100};
+
+  b.act(100, 0.0);
+  b.write(0, random_bits(columns()), 20.0);
+  EXPECT_EQ(cells_digest(b, single), 0xe291792e6230e2c7ull);
+  b.write(37, random_bits(1000), 25.0);
+  EXPECT_EQ(cells_digest(b, single), 0x593e15b8a2bf6e46ull);
+  b.pre(60.0);
+
+  b.act(0, 200.0);
+  b.pre(203.0);
+  b.act(7, 206.0);  // t1 = t2 = 3 ns: rows {0, 1, 6, 7} open.
+  ASSERT_EQ(b.open_row_count(), 4u);
+  b.write(0, random_bits(columns()), 230.0);
+  EXPECT_EQ(cells_digest(b, group), 0xc06ef88b2dfd8be5ull);
+  b.write(129, random_bits(700), 235.0);
+  EXPECT_EQ(cells_digest(b, group), 0x735853b01f83501full);
+  b.pre(270.0);
 }
 
 }  // namespace

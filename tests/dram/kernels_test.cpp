@@ -136,6 +136,56 @@ TEST(KernelsTest, UniformThresholdIndexBracketsUEff) {
   EXPECT_LT(kernels::uniform_threshold_index(1.0f), kSteps);
 }
 
+/// The smallest T in [0, 2^53] with uniform_at(T) >= u_eff, by bisection
+/// over the monotone predicate uniform_at(m) < u_eff.
+std::uint64_t bisected_threshold_index(float u_eff) {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 1ULL << 53;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (uniform_at(mid) < u_eff)
+      lo = mid + 1;
+    else
+      hi = mid;
+  }
+  return lo;
+}
+
+TEST(KernelsTest, UniformThresholdIndexMatchesBisection) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> u_effs = {0.0f,
+                               -0.0f,
+                               1.0f,
+                               std::nextafter(1.0f, 0.0f),
+                               std::nextafter(1.0f, 2.0f),
+                               2.0f,
+                               kInf,
+                               -kInf,
+                               std::numeric_limits<float>::quiet_NaN(),
+                               std::numeric_limits<float>::denorm_min(),
+                               std::numeric_limits<float>::min(),
+                               std::nextafter(std::numeric_limits<float>::min(),
+                                              0.0f),
+                               uniform_at(0),
+                               std::nextafter(uniform_at(0), 0.0f),
+                               std::nextafter(uniform_at(0), 1.0f),
+                               uniform_at((1ULL << 53) - 1)};
+  Rng rng(37);
+  while (u_effs.size() < 1'000'000) {
+    // Random floats in [0, 1] with both neighbours, and random bit
+    // patterns (every sign, exponent, denormal, inf and NaN).
+    const auto u = static_cast<float>(rng.uniform());
+    u_effs.push_back(u);
+    u_effs.push_back(std::nextafter(u, 0.0f));
+    u_effs.push_back(std::nextafter(u, 1.0f));
+    u_effs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(rng())));
+  }
+  for (const float u_eff : u_effs)
+    ASSERT_EQ(kernels::uniform_threshold_index(u_eff),
+              bisected_threshold_index(u_eff))
+        << std::hexfloat << u_eff;
+}
+
 TEST(KernelsTest, CodeThresholdMaskMatchesFloatOracle) {
   Rng rng(29);
   for (const kernels::SimdTier tier : host_tiers()) {
