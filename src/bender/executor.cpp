@@ -19,9 +19,11 @@ using dram::PowerOp;
 /// Command-slot span for the observability trace: the command as issued
 /// (virtual time, nominal per-kind duration) with its bank/row or
 /// bank/column operands. Virtual timestamps make the recorded trace a
-/// pure function of the program, independent of scheduling.
+/// pure function of the program, independent of scheduling. `task` is
+/// the run's scoped buffer (looked up once per program), or nullptr for
+/// the unscoped harness stream.
 void trace_command(const TimedCommand& cmd, double t,
-                   const dram::TimingParams& timings) {
+                   const dram::TimingParams& timings, obs::TaskBuffer* task) {
   obs::CommandSpan span;
   span.ts_ns = t;
   span.bank = static_cast<std::int32_t>(cmd.bank);
@@ -51,7 +53,11 @@ void trace_command(const TimedCommand& cmd, double t,
       span.bank = -1;
       break;
   }
-  obs::record_command(span);
+  if (task != nullptr) {
+    task->record_command(span);
+  } else {
+    obs::record_command(span);
+  }
 }
 
 double command_energy(const TimedCommand& cmd, const dram::Chip& chip,
@@ -321,13 +327,14 @@ ExecutionResult Executor::run(const Program& program) {
   ExecutionResult result;
   const bool faulty = faults_ != nullptr && faults_->spec().any_transport();
   const bool traced = obs::enabled();
+  obs::TaskBuffer* const task = traced ? obs::current_task() : nullptr;
   for (const TimedCommand& cmd : to_run->commands()) {
     // The trace records the command as *issued* (pre-fault): a corrupted
     // transport changes what the chip latches, not what the span shows —
     // matching DRAM Bender's host-side command log.
     if (traced)
       trace_command(cmd, clock_ns_ + cmd.time_ns(),
-                    chip_->profile().timings);
+                    chip_->profile().timings, task);
     if (faulty) {
       run_faulty(cmd, result);
     } else {

@@ -256,12 +256,8 @@ const BitVec& Bank::write_mask_for(std::size_t open_index) {
     write_masks_.reserve(driven.size());
     const BitlineContext bctx = bitline_ctx();
     for (RowAddr r : driven) {
-      if (driven.size() == 1) {
-        write_masks_.emplace_back(ctx_.profile->geometry.columns, true);
-      } else {
-        write_masks_.push_back(ctx_.electrical->write_overdrive_mask(
-            bctx, r, differing_fields_, *ctx_.env, apa_));
-      }
+      write_masks_.push_back(ctx_.electrical->write_overdrive_mask(
+          bctx, r, differing_fields_, *ctx_.env, apa_));
     }
   }
   return write_masks_[open_index];
@@ -279,12 +275,12 @@ void Bank::write(ColAddr start_bit, const BitVec& data, double t_ns) {
   row_buffer_.assign_range(start_bit, data);
   Subarray& s = subarray(stepper_.open_sa());
   const std::span<const RowAddr> driven = stepper_.driven();
-  const bool full_row = start_bit == 0 && data.size() == row_buffer_.size();
-  if (full_row && driven.size() == 1) {
-    // One open row takes the whole buffer: its overdrive mask is all ones.
-    s.row_data(driven.front()) = row_buffer_;
+  if (driven.size() == 1) {
+    // One open row is overdriven everywhere: its cells take the write.
+    s.row_data(driven.front()).assign_range(start_bit, data);
     return;
   }
+  const bool full_row = start_bit == 0 && data.size() == row_buffer_.size();
   BitVec window;
   if (!full_row) {
     window = BitVec(row_buffer_.size());

@@ -504,16 +504,12 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
     // significant plane down, into disjoint (mask, class) parts. A class
     // index is (lead * tail_span + tail) * 2 + odd bit, or the lead count
     // alone when all weights are equal. The parts say which classes
-    // occur and, under obs, how many columns each holds.
-    struct Part {
-      std::uint64_t mask;
-      std::uint32_t cls;
-    };
+    // occur and how many columns each holds.
+    using Part = kernels::ClassMask;
     std::vector<Part> parts;
     parts.reserve(n_words * 8);
     std::vector<std::size_t> word_end(n_words);
     std::vector<std::uint8_t> seen(n_classes, 0);
-    std::vector<std::uint64_t> class_count(obs_margins ? n_classes : 0);
     const auto lead_step =
         static_cast<std::uint32_t>(two_class ? tail_span * 2 : 1);
     for (std::size_t wi = 0; wi < n_words; ++wi) {
@@ -539,12 +535,7 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
       for (std::size_t plane = tail_planes; plane-- > 0;)
         split(planes[(lead_planes + plane) * n_words + wi], 2u << plane);
       if (odd_row != nullptr) split(odd_row->words()[wi], 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        seen[local[i].cls] = 1;
-        if (obs_margins)
-          class_count[local[i].cls] +=
-              static_cast<std::uint64_t>(std::popcount(local[i].mask));
-      }
+      for (std::size_t i = 0; i < n; ++i) seen[local[i].cls] = 1;
       parts.insert(parts.end(), local, local + n);
       word_end[wi] = parts.size();
     }
@@ -587,6 +578,10 @@ ChargeShareResult ElectricalModel::resolve_charge_share(
     std::vector<double> dense_zg(realized.size());
     std::vector<std::int32_t> dense_flags(realized.size());
     kernels::margin_chain(class_sums, mp, dense_zg, dense_flags);
+
+    // Under obs, the margin tally weighs each class by its columns.
+    std::vector<std::uint64_t> class_count(obs_margins ? n_classes : 0);
+    if (obs_margins) kernels::add_class_columns(parts, class_count);
 
     std::vector<float> threshold_table(n_classes, 0.0f);
     std::vector<std::int32_t> flag_table(n_classes, 0);

@@ -316,4 +316,20 @@ WordVerdict resolve_word(const float* zetas, const float* polarities,
   return v;
 }
 
+void add_class_columns(std::span<const ClassMask> parts,
+                       std::span<std::uint64_t> counts) {
+  if (active_simd() == SimdTier::avx2) {
+    avx2::add_class_columns(parts, counts);
+    return;
+  }
+  // std::popcount is a libgcc call at the baseline ISA; count inline.
+  for (const ClassMask& part : parts) {
+    std::uint64_t x = part.mask;
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    counts[part.cls] += (x * 0x0101010101010101ULL) >> 56;
+  }
+}
+
 }  // namespace simra::dram::kernels

@@ -169,4 +169,19 @@ struct WordVerdict {
 WordVerdict resolve_word(const float* zetas, const float* polarities,
                          std::span<const ClassPart> parts);
 
+/// One weight class's columns of a 64-column word, by class index: a part
+/// of the charge-share resolve's class split. No member initializers: the
+/// split keeps a 64-entry scratch array of these per word.
+struct ClassMask {
+  std::uint64_t mask;  ///< the word's columns in this class.
+  std::uint32_t cls;   ///< the class index.
+};
+
+/// Adds each part's column count (its mask's set bits) to
+/// counts[part.cls]: the column weights of the traced sense-margin tally.
+/// The AVX2 tier counts with the popcnt instruction, which the baseline
+/// ISA lacks.
+void add_class_columns(std::span<const ClassMask> parts,
+                       std::span<std::uint64_t> counts);
+
 }  // namespace simra::dram::kernels

@@ -465,6 +465,12 @@ WordVerdict resolve_word(const float* zetas, const float* polarities,
   return v;
 }
 
+void add_class_columns(std::span<const ClassMask> parts,
+                       std::span<std::uint64_t> counts) {
+  for (const ClassMask& part : parts)
+    counts[part.cls] += static_cast<std::uint64_t>(std::popcount(part.mask));
+}
+
 std::size_t hashed_code_fill(std::uint64_t prefix,
                              std::span<std::uint8_t> out) {
   constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
@@ -556,6 +562,9 @@ void margin_chain(std::span<const float>, const MarginChainParams&,
 }
 WordVerdict resolve_word(const float*, const float*,
                          std::span<const ClassPart>) {
+  std::abort();
+}
+void add_class_columns(std::span<const ClassMask>, std::span<std::uint64_t>) {
   std::abort();
 }
 

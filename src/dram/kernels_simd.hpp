@@ -6,6 +6,7 @@
 #include "common/bitvec.hpp"
 
 namespace simra::dram::kernels {
+struct ClassMask;
 struct ClassPart;
 struct MarginChainParams;
 struct WordVerdict;
@@ -95,5 +96,9 @@ void margin_chain(std::span<const float> sums, const MarginChainParams& p,
 /// one 8-lane float compare per class part).
 WordVerdict resolve_word(const float* zetas, const float* polarities,
                          std::span<const ClassPart> parts);
+
+/// kernels::add_class_columns with the popcnt instruction.
+void add_class_columns(std::span<const ClassMask> parts,
+                       std::span<std::uint64_t> counts);
 
 }  // namespace simra::dram::kernels::avx2

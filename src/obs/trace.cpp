@@ -43,15 +43,6 @@ TaskBuffer::TaskBuffer(std::uint32_t track, std::string label,
   ring_.reserve(std::min<std::size_t>(ring_capacity_, 128));
 }
 
-void TaskBuffer::record_command(const CommandSpan& span) {
-  if (ring_.size() < ring_capacity_) {
-    ring_.push_back(span);
-  } else {
-    ring_[ring_head_ % ring_capacity_] = span;
-  }
-  ++ring_head_;
-}
-
 void TaskBuffer::add_span(RichSpan span) {
   if (spans_.size() >= kRichSpanCap) {
     ++events_dropped_;

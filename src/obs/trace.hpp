@@ -83,7 +83,15 @@ class TaskBuffer {
   TaskBuffer(std::uint32_t track, std::string label,
              std::size_t ring_capacity);
 
-  void record_command(const CommandSpan& span);
+  /// Inline: the executor records one span per issued command.
+  void record_command(const CommandSpan& span) {
+    if (ring_.size() < ring_capacity_) {
+      ring_.push_back(span);
+    } else {
+      ring_[ring_head_ % ring_capacity_] = span;
+    }
+    ++ring_head_;
+  }
   void add_span(RichSpan span);
   void add_request(const RequestTrace& request);
   void add_event(std::string type, Fields fields);

@@ -1,8 +1,8 @@
 #include "serve/shard.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -207,15 +207,24 @@ BatchOutcome Shard::execute(std::span<const BatchItem> batch,
          std::max(compile_end_ns - outcome.start_clock_ns, 0.0),
          {{"batch", std::to_string(batch_seq)},
           {"requests", std::to_string(compiled.size())}}});
+    // "id:first:count:tenant" per request, ';'-separated. to_chars keeps
+    // it cheap: it runs for every traced batch, inside the serve pass
+    // whose tracing cost bench_obs_overhead holds under its budget.
     std::string table;
-    table.reserve(slices.size() * 16);
-    char entry[96];
+    table.reserve(slices.size() * 24);
+    const auto put = [&table](std::uint64_t value) {
+      char digits[20];
+      table.append(digits, std::to_chars(digits, digits + 20, value).ptr);
+    };
     for (const verify::RequestSlice& slice : slices) {
       if (!table.empty()) table += ';';
-      std::snprintf(entry, sizeof entry, "%llu:%zu:%zu:%u",
-                    static_cast<unsigned long long>(slice.request_id),
-                    slice.first_command, slice.command_count, slice.tenant);
-      table += entry;
+      put(slice.request_id);
+      table += ':';
+      put(slice.first_command);
+      table += ':';
+      put(slice.command_count);
+      table += ':';
+      put(slice.tenant);
     }
     outcome.buffer->add_event(
         "serve.batch.slots",

@@ -680,6 +680,29 @@ TEST(KernelsTest, ResolveWordMatchesPerColumnOracle) {
   EXPECT_EQ(bare.stable | bare.ties, 0u);
 }
 
+// Each tier adds every part's set bits to its class, counted bit by bit
+// here; the counts start non-zero, so the kernel must add, not assign.
+TEST(KernelsTest, AddClassColumnsMatchesPerBitCount) {
+  Rng rng(53);
+  std::vector<kernels::ClassMask> parts;
+  for (const std::uint64_t mask : {std::uint64_t{0}, ~std::uint64_t{0},
+                                   std::uint64_t{1}, std::uint64_t{1} << 63})
+    parts.push_back({mask, static_cast<std::uint32_t>(parts.size())});
+  for (int i = 0; i < 500; ++i)
+    parts.push_back({rng() & rng(), static_cast<std::uint32_t>(rng.below(7))});
+  std::vector<std::uint64_t> want(7);
+  for (std::size_t cls = 0; cls < want.size(); ++cls) want[cls] = 1000 * cls;
+  const std::vector<std::uint64_t> start = want;
+  for (const kernels::ClassMask& part : parts)
+    for (int b = 0; b < 64; ++b) want[part.cls] += (part.mask >> b) & 1;
+  for (const kernels::SimdTier tier : host_tiers()) {
+    ScopedSimd scoped(tier);
+    std::vector<std::uint64_t> counts = start;
+    kernels::add_class_columns(parts, counts);
+    EXPECT_EQ(counts, want) << kernels::simd_name(tier);
+  }
+}
+
 // The batched deviate fill must replay the scalar per-cell hash chain.
 TEST(KernelsTest, VariationNormalFillMatchesScalar) {
   const VariationField field(42);

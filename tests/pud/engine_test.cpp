@@ -4,7 +4,9 @@
 
 #include "common/rng.hpp"
 #include "pud/patterns.hpp"
+#include "pud/program_builders.hpp"
 #include "pud/row_group.hpp"
+#include "support/same_program.hpp"
 
 namespace simra::pud {
 namespace {
@@ -163,6 +165,41 @@ TEST_F(EngineTest, MicronEmulatedNeutralRows) {
   const BitVec expected = BitVec::majority(refs);
   const BitVec result = engine.majx(0, 1, group, config);
   EXPECT_GT(result.matches(expected), cols * 80 / 100);
+}
+
+// The engine re-points one built write_row, read_row and frac program per
+// bank instead of rebuilding it per row, which is only sound while the
+// builders' slots, extent, name and intents depend on neither the row
+// (here an even and an odd row in different subarrays) nor the payload.
+TEST(RowPrograms, RepointedBuildEqualsFreshBuild) {
+  using simra::testing::expect_same_program;
+  std::vector<dram::VendorProfile> profiles = dram::VendorProfile::all_tested();
+  profiles.push_back(dram::VendorProfile::samsung());
+  Rng rng{29};
+  for (const dram::VendorProfile& profile : profiles) {
+    SCOPED_TRACE(profile.manufacturer + " " + profile.die_revision);
+    const std::size_t columns = profile.geometry.columns;
+    const dram::RowAddr r1 = 16;
+    const dram::RowAddr r2 =
+        static_cast<dram::RowAddr>(3 * profile.geometry.rows_per_subarray + 5);
+    BitVec d1(columns);
+    BitVec d2(columns);
+    d1.randomize(rng);
+    d2.randomize(rng);
+    for (const dram::BankId bank : {dram::BankId{0}, dram::BankId{3}}) {
+      SCOPED_TRACE(static_cast<int>(bank));
+      expect_same_program(
+          programs::write_row(profile, bank, r1, d1).repoint(r2, &d2),
+          programs::write_row(profile, bank, r2, d2));
+      for (const std::size_t nbits : {std::size_t{64}, columns}) {
+        expect_same_program(
+            programs::read_row(profile, bank, r1, nbits).repoint(r2),
+            programs::read_row(profile, bank, r2, nbits));
+      }
+      expect_same_program(programs::frac(profile, bank, r1).repoint(r2),
+                          programs::frac(profile, bank, r2));
+    }
+  }
 }
 
 }  // namespace
