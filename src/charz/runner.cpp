@@ -1,7 +1,6 @@
 #include "charz/runner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -11,7 +10,6 @@
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "dram/chip.hpp"
-#include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -110,10 +108,6 @@ void register_span_pool_stats() {
   obs::set_host_field("span_pool_recycle_rate", rate.str());
 }
 
-Resilience resilience_from_env() {
-  return Resilience{fault::FaultSpec::from_env(), fault::fault_seed_from_env()};
-}
-
 namespace {
 
 /// Seals the task's observability buffer: chip-task metadata for the
@@ -136,15 +130,14 @@ struct SlotOutcome {
   std::shared_ptr<obs::TaskBuffer> obs;
   fault::FaultCounters faults;
   std::vector<std::string> trace;
-  std::string error;
-  bool failed = false;
+  std::exception_ptr error;  ///< set when the slot threw.
 };
 
 }  // namespace
 
 ChipReport run_chip_task_resilient(
     const Plan& plan, const ChipTask& task, std::size_t task_ordinal,
-    const Resilience& res, WorkStealingPool& pool,
+    const fault::Resilience& res, WorkStealingPool& pool,
     const std::function<void(Instance&, std::size_t)>& fn,
     const std::function<void()>& reset) {
   ChipReport report;
@@ -159,135 +152,103 @@ ChipReport run_chip_task_resilient(
   // their own buffers (bound per worker thread below) and are folded in
   // afterwards in slot order.
   obs::TaskScope obs_scope(report.obs.get());
-  // Injector construction + per-attempt bookkeeping only happen when the
-  // spec actually injects (or traces); a clean run takes the exact
-  // pre-resilience path.
-  const bool use_faults = res.spec.injects() || res.spec.trace;
-  const unsigned max_attempts = res.spec.retry_max + 1;
+  // Slot injectors are only built when the spec injects (or traces); a
+  // clean run takes the exact pre-resilience path.
+  const bool slot_faults = res.spec.injects() || res.spec.trace;
   const std::size_t slots = slots_per_chip(plan);
   // Running end of the chip's virtual timeline: each absorbed slot is
   // shifted to start where the previous one ended, which keeps the merged
   // trace identical at any worker count.
   double virtual_cursor = 0.0;
-  for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-    report.attempts = attempt + 1;
-    if (attempt > 0) {
-      reset();
-      if (res.spec.retry_backoff_ms > 0.0) {
-        const double backoff_ms =
-            res.spec.retry_backoff_ms * static_cast<double>(1u << (attempt - 1));
-        static obs::Histogram& backoff_hist =
-            obs::MetricsRegistry::instance().histogram(
-                "charz/backoff_ms",
-                {0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
-        backoff_hist.observe(backoff_ms);
-        obs::emit_event("task.retry",
-                        {{"attempt", std::to_string(attempt)},
-                         {"backoff_ms", std::to_string(backoff_ms)}});
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff_ms));
-      } else {
-        obs::emit_event("task.retry", {{"attempt", std::to_string(attempt)}});
-      }
-    }
-    bool attempt_ok = true;
-    std::string attempt_error;
-    // Chip-level fault decisions are drawn before the fan-out, from the
-    // historical whole-chip key (subtask 0), so whether an attempt
-    // crashes or stalls is unchanged by the slot decomposition.
-    std::optional<fault::ChipInjector> chip_injector;
-    if (use_faults) {
-      chip_injector.emplace(res.spec, res.fault_seed, task.module_index,
-                            static_cast<std::uint32_t>(task.chip_index),
-                            attempt);
-      if (chip_injector->task_crash(task_ordinal)) {
-        attempt_ok = false;
-        attempt_error = "injected chip-task crash (task " +
-                        std::to_string(task_ordinal) + ", attempt " +
-                        std::to_string(attempt) + ")";
-      } else if (chip_injector->task_delay_ms() > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            chip_injector->task_delay_ms()));
-      }
-    }
-    if (attempt_ok) {
-      std::vector<SlotOutcome> outcomes(slots);
-      {
-        WorkStealingPool::Group group(pool);
+  // Chip-level fault decisions (crash, delay) are drawn by run_attempts
+  // before the body fans out, from the historical whole-chip key
+  // (subtask 0), so whether an attempt crashes or stalls is unchanged by
+  // the slot decomposition.
+  fault::run_attempts(
+      report, res, task.module_index,
+      static_cast<std::uint32_t>(task.chip_index), task_ordinal,
+      [task_ordinal](unsigned attempt) {
+        return "injected chip-task crash (task " +
+               std::to_string(task_ordinal) + ", attempt " +
+               std::to_string(attempt) + ")";
+      },
+      [&](unsigned attempt, fault::ChipInjector*) {
+        std::vector<SlotOutcome> outcomes(slots);
+        {
+          WorkStealingPool::Group group(pool);
+          for (std::size_t slot = 0; slot < slots; ++slot) {
+            group.spawn([&plan, &task, &res, &fn, &outcomes, slot_faults,
+                         attempt, slot, has_obs = report.obs != nullptr] {
+              SlotOutcome& outcome = outcomes[slot];
+              if (has_obs)
+                outcome.obs = std::make_shared<obs::TaskBuffer>(
+                    0, "s" + std::to_string(slot), obs::ring_capacity());
+              obs::TaskScope scope(outcome.obs.get());
+              std::optional<fault::ChipInjector> injector;
+              if (slot_faults)
+                injector.emplace(res.spec, res.fault_seed, task.module_index,
+                                 static_cast<std::uint32_t>(task.chip_index),
+                                 attempt, static_cast<unsigned>(slot) + 1);
+              try {
+                run_slot_task(plan, task, slot,
+                              injector ? &*injector : nullptr, fn);
+              } catch (...) {
+                outcome.error = std::current_exception();
+              }
+              if (injector) {
+                outcome.faults = injector->counters();
+                outcome.trace = injector->trace();
+              }
+            });
+          }
+          group.wait();
+        }
+        // Deterministic slot-order aggregation: counters, fault traces,
+        // obs buffers, and the winning error (the lowest failed slot's)
+        // are all independent of which worker finished when.
+        std::exception_ptr error;
         for (std::size_t slot = 0; slot < slots; ++slot) {
-          group.spawn([&plan, &task, &res, &fn, &outcomes, use_faults,
-                       attempt, slot, has_obs = report.obs != nullptr] {
-            SlotOutcome& outcome = outcomes[slot];
-            if (has_obs)
-              outcome.obs = std::make_shared<obs::TaskBuffer>(
-                  0, "s" + std::to_string(slot), obs::ring_capacity());
-            obs::TaskScope scope(outcome.obs.get());
-            std::optional<fault::ChipInjector> injector;
-            if (use_faults)
-              injector.emplace(res.spec, res.fault_seed, task.module_index,
-                               static_cast<std::uint32_t>(task.chip_index),
-                               attempt, static_cast<unsigned>(slot) + 1);
-            try {
-              run_slot_task(plan, task, slot,
-                            injector ? &*injector : nullptr, fn);
-            } catch (const std::exception& e) {
-              outcome.failed = true;
-              outcome.error = e.what();
-            } catch (...) {
-              outcome.failed = true;
-              outcome.error = "unknown exception";
-            }
-            if (injector) {
-              outcome.faults = injector->counters();
-              outcome.trace = injector->trace();
-            }
-          });
+          SlotOutcome& outcome = outcomes[slot];
+          if (report.obs != nullptr && outcome.obs != nullptr) {
+            const double start = virtual_cursor;
+            const double duration = outcome.obs->end_ns();
+            report.obs->add_span(
+                {"subtask s" + std::to_string(slot), "charz", start, duration,
+                 {{"attempt", std::to_string(attempt)}}});
+            report.obs->absorb(*outcome.obs, start);
+            virtual_cursor = start + duration;
+          }
+          report.faults += outcome.faults;
+          report.trace.insert(report.trace.end(), outcome.trace.begin(),
+                              outcome.trace.end());
+          if (outcome.error && !error) error = outcome.error;
         }
-        group.wait();
-      }
-      // Deterministic slot-order aggregation: counters, fault traces, obs
-      // buffers, and the winning error are all independent of which
-      // worker finished when.
-      for (std::size_t slot = 0; slot < slots; ++slot) {
-        SlotOutcome& outcome = outcomes[slot];
-        if (report.obs != nullptr && outcome.obs != nullptr) {
-          const double start = virtual_cursor;
-          const double duration = outcome.obs->end_ns();
-          report.obs->add_span(
-              {"subtask s" + std::to_string(slot), "charz", start, duration,
-               {{"attempt", std::to_string(attempt)}}});
-          report.obs->absorb(*outcome.obs, start);
-          virtual_cursor = start + duration;
+        if (error) std::rethrow_exception(error);
+      },
+      [&reset](unsigned attempt, double backoff_ms) {
+        reset();
+        obs::Fields fields{{"attempt", std::to_string(attempt)}};
+        if (backoff_ms > 0.0) {
+          static obs::Histogram& backoff_hist =
+              obs::MetricsRegistry::instance().histogram(
+                  "charz/backoff_ms",
+                  {0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
+          backoff_hist.observe(backoff_ms);
+          fields.emplace_back("backoff_ms", std::to_string(backoff_ms));
         }
-        report.faults += outcome.faults;
-        report.trace.insert(report.trace.end(), outcome.trace.begin(),
-                            outcome.trace.end());
-        if (outcome.failed && attempt_ok) {
-          attempt_ok = false;
-          attempt_error = outcome.error;
-        }
-      }
-    }
-    if (chip_injector) {
-      report.faults += chip_injector->counters();
-      report.trace.insert(report.trace.end(), chip_injector->trace().begin(),
-                          chip_injector->trace().end());
-    }
-    if (attempt_ok) {
-      report.succeeded = true;
-      break;
-    }
-    report.error = attempt_error;
-    obs::emit_event("task.attempt_failed",
-                    {{"attempt", std::to_string(attempt)},
-                     {"error", report.error}});
-  }
+        obs::emit_event("task.retry", std::move(fields));
+      },
+      [](unsigned attempt, const std::string& error) {
+        obs::emit_event("task.attempt_failed",
+                        {{"attempt", std::to_string(attempt)},
+                         {"error", error}});
+      });
   seal_obs_buffer(report);
   return report;
 }
 
 Coverage collect_coverage(std::vector<ChipReport> reports,
-                          const Resilience& res) {
+                          const fault::Resilience& res) {
   Coverage cov;
   cov.chips_attempted = reports.size();
   for (ChipReport& report : reports) {

@@ -7,7 +7,7 @@
 #include "charz/coverage.hpp"
 #include "charz/plan.hpp"
 #include "charz/scheduler.hpp"
-#include "fault/spec.hpp"
+#include "fault/attempts.hpp"
 
 namespace simra::charz {
 
@@ -99,30 +99,23 @@ void register_workers(const WorkStealingPool& pool);
 /// must never leak into byte-compared artifacts.
 void register_span_pool_stats();
 
-/// The environment-derived resilience configuration of a sweep:
-/// SIMRA_FAULT_SPEC + SIMRA_FAULT_SEED, read once per run_instances call.
-struct Resilience {
-  fault::FaultSpec spec;
-  std::uint64_t fault_seed = 0;
-};
-Resilience resilience_from_env();
-
-/// Runs one chip task under the resilience policy, fanning its slots out
-/// as subtasks on `pool` (nested fork-join: the calling worker executes
-/// slot subtasks while it waits). Chip-level fault decisions (task crash,
-/// delay) are drawn before the fan-out from the attempt's chip injector
-/// so they are unchanged by the decomposition; each slot gets its own
-/// injector keyed by (…, attempt, slot + 1). Bounded retry with
-/// exponential backoff stays at the chip aggregate: any failed slot fails
-/// the attempt (lowest slot's error wins, deterministically), `reset`
-/// must discard the partial accumulator state of every slot, and a chip
-/// that exhausts its retries is quarantined whole. Per-slot observability
-/// buffers are folded into the chip's buffer in slot order on a virtual
-/// timeline, so trace/event artifacts stay byte-identical at any worker
-/// count. Never throws.
+/// Runs one chip task under `fault::run_attempts` (keyed (module, chip),
+/// crash ordinal `task_ordinal`), fanning its slots out as subtasks on
+/// `pool` (nested fork-join: the calling worker executes slot subtasks
+/// while it waits). Chip-level fault decisions (task crash, delay) are
+/// drawn before the fan-out from the attempt's chip injector so they are
+/// unchanged by the decomposition; each slot gets its own injector keyed
+/// by (…, attempt, slot + 1). Bounded retry with exponential backoff
+/// stays at the chip aggregate: any failed slot fails the attempt (lowest
+/// slot's error wins, deterministically), `reset` must discard the
+/// partial accumulator state of every slot, and a chip that exhausts its
+/// retries is quarantined whole. Per-slot observability buffers are
+/// folded into the chip's buffer in slot order on a virtual timeline, so
+/// trace/event artifacts stay byte-identical at any worker count. Never
+/// throws.
 ChipReport run_chip_task_resilient(
     const Plan& plan, const ChipTask& task, std::size_t task_ordinal,
-    const Resilience& res, WorkStealingPool& pool,
+    const fault::Resilience& res, WorkStealingPool& pool,
     const std::function<void(Instance&, std::size_t)>& fn,
     const std::function<void()>& reset);
 
@@ -131,7 +124,7 @@ ChipReport run_chip_task_resilient(
 /// `spec.effective_quarantine_budget()` allows. Also publishes the
 /// resilience prof counters.
 Coverage collect_coverage(std::vector<ChipReport> reports,
-                          const Resilience& res);
+                          const fault::Resilience& res);
 
 }  // namespace detail
 
@@ -162,7 +155,8 @@ Coverage collect_coverage(std::vector<ChipReport> reports,
 template <typename Acc, typename Fn>
 Sweep<Acc> run_instances(const Plan& plan, Fn&& fn) {
   const std::vector<detail::ChipTask> tasks = detail::chip_tasks(plan);
-  const detail::Resilience res = detail::resilience_from_env();
+  // SIMRA_FAULT_SPEC + SIMRA_FAULT_SEED, read once per sweep.
+  const fault::Resilience res = fault::Resilience::from_env();
   const std::size_t slots = detail::slots_per_chip(plan);
   std::vector<Acc> partials(tasks.size() * slots);
   std::vector<ChipReport> reports(tasks.size());

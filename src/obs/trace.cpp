@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "common/env.hpp"
 
@@ -29,6 +30,24 @@ std::string us(double ns) {
 void render_fields(std::ostringstream& os, const Fields& fields) {
   for (const auto& [key, value] : fields)
     os << ",\"" << json_escape(key) << "\":\"" << json_escape(value) << "\"";
+}
+
+/// One trace.json span: an X span when it has a duration, else a global
+/// instant. `name` and `args` arrive JSON-ready; `args` holds the members
+/// of the args object, each after a comma, as render_fields writes them.
+std::string span_line(std::string_view name, std::string_view cat, double ts,
+                      double dur, int pid, const std::string& tid,
+                      std::string_view args) {
+  std::ostringstream os;
+  os << R"({"name":")" << name << R"(","cat":")" << cat << "\",";
+  if (dur > 0.0) {
+    os << R"("ph":"X","ts":)" << us(ts) << R"(,"dur":)" << us(dur);
+  } else {
+    os << R"("ph":"i","s":"g","ts":)" << us(ts);
+  }
+  os << R"(,"pid":)" << pid << R"(,"tid":)" << tid << R"(,"args":{)"
+     << args.substr(args.empty() ? 0 : 1) << "}}";
+  return os.str();
 }
 
 }  // namespace
@@ -240,60 +259,31 @@ std::string Log::render_trace_json() const {
       emit(cmd.str());
     }
     for (const RichSpan& s : chunk->spans()) {
-      std::ostringstream span;
-      span << R"({"name":")" << json_escape(s.name) << R"(","cat":")"
-           << s.cat << "\",";
-      if (s.dur_ns > 0.0) {
-        span << R"("ph":"X","ts":)" << us(s.ts_ns) << R"(,"dur":)"
-             << us(s.dur_ns);
-      } else {
-        span << R"("ph":"i","s":"g","ts":)" << us(s.ts_ns);
-      }
-      span << R"(,"pid":)" << pid << R"(,"tid":)" << tid << R"(,"args":{)";
       std::ostringstream args;
       render_fields(args, s.args);
-      std::string rendered = args.str();
-      if (!rendered.empty()) rendered.erase(0, 1);  // leading comma.
-      span << rendered << "}}";
-      emit(span.str());
+      emit(span_line(json_escape(s.name), s.cat, s.ts_ns, s.dur_ns, pid, tid,
+                     args.str()));
     }
     // Request span trees, expanded from their fixed-size records: the
     // parent "req <id>" span then its three phase children, each in the
     // same X/instant form as a rich span.
-    const auto emit_phase = [&](const RequestTrace& r, const char* name,
-                                double ts, double end) {
-      const double dur = std::max(end - ts, 0.0);
-      std::ostringstream span;
-      span << R"({"name":")" << name << R"(","cat":"serve.request",)";
-      if (dur > 0.0) {
-        span << R"("ph":"X","ts":)" << us(ts) << R"(,"dur":)" << us(dur);
-      } else {
-        span << R"("ph":"i","s":"g","ts":)" << us(ts);
-      }
-      span << R"(,"pid":)" << pid << R"(,"tid":)" << tid
-           << R"(,"args":{"req":")" << r.id << "\"}}";
-      emit(span.str());
-    };
     for (const RequestTrace& r : chunk->requests()) {
-      const double dur = std::max(r.exec_end_ns - r.routed_ns, 0.0);
-      std::ostringstream span;
-      span << R"({"name":"req )" << r.id << R"(","cat":"serve.request",)";
-      if (dur > 0.0) {
-        span << R"("ph":"X","ts":)" << us(r.routed_ns) << R"(,"dur":)"
-             << us(dur);
-      } else {
-        span << R"("ph":"i","s":"g","ts":)" << us(r.routed_ns);
-      }
-      span << R"(,"pid":)" << pid << R"(,"tid":)" << tid
-           << R"(,"args":{"op":")" << r.op << R"(","tenant":")" << r.tenant
+      std::ostringstream args;
+      args << R"(,"op":")" << r.op << R"(","tenant":")" << r.tenant
            << R"(","status":")" << r.status << R"(","batch":")" << r.batch
            << R"(","attempts":")" << r.attempts << R"(","reroutes":")"
            << r.reroutes << R"(","wait_rounds":")" << r.wait_rounds
-           << R"(","commands":")" << r.commands << "\"}}";
-      emit(span.str());
-      emit_phase(r, "queue_wait", r.routed_ns, r.batch_start_ns);
-      emit_phase(r, "batch_wait", r.batch_start_ns, r.exec_start_ns);
-      emit_phase(r, "execute", r.exec_start_ns, r.exec_end_ns);
+           << R"(","commands":")" << r.commands << "\"";
+      emit(span_line("req " + std::to_string(r.id), "serve.request",
+                     r.routed_ns, r.exec_end_ns - r.routed_ns, pid, tid,
+                     args.str()));
+      const std::string req = R"(,"req":")" + std::to_string(r.id) + "\"";
+      const auto phase = [&](const char* name, double ts, double end) {
+        emit(span_line(name, "serve.request", ts, end - ts, pid, tid, req));
+      };
+      phase("queue_wait", r.routed_ns, r.batch_start_ns);
+      phase("batch_wait", r.batch_start_ns, r.exec_start_ns);
+      phase("execute", r.exec_start_ns, r.exec_end_ns);
     }
   }
   os << "\n]\n}\n";

@@ -16,33 +16,7 @@ void BulkEngine::stage_majx_operands(std::span<const dram::BankId> banks,
                                      dram::SubarrayId sa,
                                      const RowGroup& group,
                                      const MajxConfig& config) {
-  if (config.operands.size() != config.x)
-    throw std::invalid_argument("operand count does not match X");
-  const std::size_t replicas = group.size() / config.x;
-  const std::size_t data_rows = replicas * config.x;
-
-  std::vector<dram::RowAddr> order;
-  order.reserve(group.size());
-  order.push_back(group.row_first);
-  for (dram::RowAddr r : group.rows)
-    if (r != group.row_first) order.push_back(r);
-
-  for (dram::BankId bank : banks) {
-    bool neutral_toggle = false;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      const dram::RowAddr global = engine_->global_of(sa, order[i]);
-      if (i < data_rows) {
-        engine_->write_row(bank, global, config.operands[i % config.x]);
-      } else if (engine_->chip().profile().supports_frac) {
-        engine_->frac(bank, global);
-      } else {
-        BitVec fill(engine_->chip().profile().geometry.columns,
-                    neutral_toggle);
-        neutral_toggle = !neutral_toggle;
-        engine_->write_row(bank, global, fill);
-      }
-    }
-  }
+  for (dram::BankId bank : banks) engine_->stage_majx(bank, sa, group, config);
 }
 
 BulkEngine::BulkResult BulkEngine::run_pipelined(

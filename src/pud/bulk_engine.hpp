@@ -41,7 +41,7 @@ class BulkEngine {
                             const MajxConfig& config);
 
   /// Writes the MAJX operand layout (replicas + neutral rows) into every
-  /// bank at nominal timings.
+  /// bank at nominal timings, bank by bank (`Engine::stage_majx`).
   void stage_majx_operands(std::span<const dram::BankId> banks,
                            dram::SubarrayId sa, const RowGroup& group,
                            const MajxConfig& config);

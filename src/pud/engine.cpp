@@ -107,10 +107,8 @@ void Engine::stage_neutral(dram::BankId bank, const programs::MajxRow& row) {
   }
 }
 
-BitVec Engine::majx(dram::BankId bank, dram::SubarrayId sa,
-                    const RowGroup& group, const MajxConfig& config) {
-  if (config.x < 3 || config.x % 2 == 0)
-    throw std::invalid_argument("MAJX needs an odd operand count >= 3");
+void Engine::stage_majx(dram::BankId bank, dram::SubarrayId sa,
+                        const RowGroup& group, const MajxConfig& config) {
   if (config.operands.size() != config.x)
     throw std::invalid_argument("operand count does not match X");
   programs::for_each_majx_row(
@@ -122,6 +120,11 @@ BitVec Engine::majx(dram::BankId bank, dram::SubarrayId sa,
           stage_neutral(bank, row);
         }
       });
+}
+
+BitVec Engine::majx(dram::BankId bank, dram::SubarrayId sa,
+                    const RowGroup& group, const MajxConfig& config) {
+  stage_majx(bank, sa, group, config);
   return apa(bank, sa, group, config.timings);
 }
 
@@ -175,27 +178,17 @@ BitVec Engine::in_dram_or(dram::BankId bank, dram::SubarrayId sa,
 }
 
 Nanoseconds Engine::write_row_latency() const {
-  const auto& t = chip_->profile().timings;
-  Program p;
-  p.act(0, 0).delay_at_least(t.tRCD).wr(0, 0, BitVec(8)).delay_at_least(t.tWR)
-      .pad_after_last(bender::CommandKind::kAct, t.tRAS)
-      .pre(0).delay_at_least(t.tRP);
-  return Nanoseconds{p.duration_ns()};
+  return Nanoseconds{
+      programs::write_row(chip_->profile(), 0, 0, BitVec()).duration_ns()};
 }
 
 Nanoseconds Engine::rowclone_latency() const {
-  const auto& t = chip_->profile().timings;
-  Program p;
-  p.act(0, 0).delay_at_least(t.tRAS).pre(0).delay(Nanoseconds{6.0}).act(0, 1)
-      .delay_at_least(t.tRAS).pre(0).delay_at_least(t.tRP);
-  return Nanoseconds{p.duration_ns()};
+  return Nanoseconds{
+      programs::rowclone(chip_->profile(), 0, 0, 1).duration_ns()};
 }
 
 Nanoseconds Engine::frac_latency() const {
-  const auto& t = chip_->profile().timings;
-  Program p;
-  p.act(0, 0).delay(Nanoseconds{1.5}).pre(0).delay_at_least(t.tRP);
-  return Nanoseconds{p.duration_ns()};
+  return Nanoseconds{programs::frac(chip_->profile(), 0, 0).duration_ns()};
 }
 
 Nanoseconds Engine::multi_row_copy_latency(ApaTimings timings) const {

@@ -88,6 +88,13 @@ class Engine {
   BitVec majx(dram::BankId bank, dram::SubarrayId sa, const RowGroup& group,
               const MajxConfig& config);
 
+  /// majx() without the APA: writes the operand replicas and neutral rows
+  /// into the group in `programs::for_each_majx_row` order. Throws
+  /// std::invalid_argument, before writing anything, unless X is odd,
+  /// >= 3, matches the operand count and fits the group.
+  void stage_majx(dram::BankId bank, dram::SubarrayId sa,
+                  const RowGroup& group, const MajxConfig& config);
+
   /// MAJX whose operands already live in DRAM rows of the same subarray:
   /// the operand rows are staged into the activation group with RowClone
   /// (no host data movement), the APA fires, and the row buffer is

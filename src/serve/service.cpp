@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "charz/runner.hpp"
 #include "common/env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -125,7 +126,7 @@ std::string ServeStats::summary(std::size_t total_shards) const {
 
 Service::Service(ServiceConfig config)
     : config_(std::move(config)),
-      res_(charz::detail::resilience_from_env()),
+      res_(fault::Resilience::from_env()),
       queue_(config_.queue_capacity),
       admission_(config_.max_in_flight, config_.tenant_quota) {
   if (config_.shards == 0) throw std::invalid_argument("serve: zero shards");

@@ -8,8 +8,8 @@
 #include <thread>
 #include <vector>
 
-#include "charz/runner.hpp"
 #include "charz/scheduler.hpp"
+#include "fault/attempts.hpp"
 #include "serve/admission.hpp"
 #include "serve/queue.hpp"
 #include "serve/shard.hpp"
@@ -68,11 +68,12 @@ struct ServeStats {
 /// The PUD serving front-end: clients submit requests into a lock-free
 /// queue; the scheduler groups compatible requests per shard, compiles
 /// each group into one fused `bender::Program`, and dispatches the shard
-/// batches across a `charz::WorkStealingPool`. Failed batches follow the
-/// charz resilience pattern (bounded retries with exponential backoff,
-/// then shard quarantine) and their requests are rerouted to healthy
-/// shards a bounded number of times, so no admitted request is ever lost
-/// or answered twice.
+/// batches across a `charz::WorkStealingPool`. Each batch runs under
+/// `fault::run_attempts`, the attempt loop the harness's chip tasks share
+/// (bounded retries with exponential backoff); a shard whose batch
+/// exhausts them is quarantined and the batch's requests are rerouted to
+/// healthy shards a bounded number of times, so no admitted request is
+/// ever lost or answered twice.
 ///
 /// Determinism: with a fixed workload submitted from one thread and
 /// pumped with `pump()`/`drain()`, batch composition, shard routing, and
@@ -122,7 +123,7 @@ class Service {
   std::size_t healthy_shards() const;
   Shard& shard(std::size_t index) { return *shards_[index]; }
   std::size_t queue_depth() const noexcept { return queue_.approx_size(); }
-  const charz::detail::Resilience& resilience() const noexcept { return res_; }
+  const fault::Resilience& resilience() const noexcept { return res_; }
 
  private:
   void deliver(const BatchItem& item, Response response);
@@ -139,7 +140,7 @@ class Service {
   std::exception_ptr halt();
 
   ServiceConfig config_;
-  charz::detail::Resilience res_;
+  fault::Resilience res_;
   SubmissionQueue queue_;
   AdmissionController admission_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
-#include <optional>
-#include <stdexcept>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -17,6 +13,11 @@
 namespace simra::serve {
 
 namespace {
+
+// Activation-group steering: candidates scored per (bank, subarray), and
+// reliability trials per candidate.
+constexpr std::size_t kCandidateGroups = 4;
+constexpr unsigned kSteerTrials = 1;
 
 std::uint64_t shard_chip_seed(std::uint64_t service_seed,
                               std::uint32_t index) {
@@ -45,15 +46,13 @@ const pud::RowGroup& Shard::group_for(dram::BankId bank, dram::SubarrayId sa) {
                                     bank),
                        sa));
   std::vector<pud::RowGroup> candidates;
-  candidates.reserve(config_.candidate_groups);
-  for (std::size_t i = 0; i < std::max<std::size_t>(config_.candidate_groups, 1);
-       ++i)
+  candidates.reserve(kCandidateGroups);
+  for (std::size_t i = 0; i < kCandidateGroups; ++i)
     candidates.push_back(
         pud::sample_group(chip_.layout(), config_.group_size, rng));
   std::size_t pick = 0;
-  if (config_.steer && candidates.size() > 1 && config_.group_size >= 3)
-    pick = reliability_.best_group(bank, sa, candidates, 3,
-                                   config_.steer_trials);
+  if (config_.steer && config_.group_size >= 3)
+    pick = reliability_.best_group(bank, sa, candidates, 3, kSteerTrials);
   return groups_.emplace(key, candidates[pick]).first->second;
 }
 
@@ -152,7 +151,7 @@ void Shard::finalize_responses(std::span<const BatchItem> batch,
 
 BatchOutcome Shard::execute(std::span<const BatchItem> batch,
                             std::uint64_t batch_seq,
-                            const charz::detail::Resilience& res) {
+                            const fault::Resilience& res) {
   BatchOutcome outcome;
   outcome.start_clock_ns = clock_ns();
   const std::string label =
@@ -274,78 +273,62 @@ BatchOutcome Shard::execute(std::span<const BatchItem> batch,
     }
   }
 
-  const unsigned max_attempts = res.spec.retry_max + 1;
-  const bool use_faults = res.spec.injects();
-  for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-    outcome.attempts = attempt + 1;
-    if (attempt > 0 && res.spec.retry_backoff_ms > 0.0) {
-      const double backoff_ms = res.spec.retry_backoff_ms *
-                                static_cast<double>(1u << (attempt - 1));
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(backoff_ms));
-    }
-    std::optional<fault::ChipInjector> injector;
-    bool ok = true;
-    std::string attempt_error;
-    const double attempt_start = clock_ns();
-    try {
-      if (use_faults) {
-        injector.emplace(res.spec, res.fault_seed, index_,
-                         static_cast<std::uint32_t>(batch_seq), attempt);
-        if (injector->task_crash(index_))
-          throw fault::InjectedFault(
-              "injected shard crash (shard " + std::to_string(index_) +
-              ", batch " + std::to_string(batch_seq) + ", attempt " +
-              std::to_string(attempt) + ")");
-        if (injector->task_delay_ms() > 0.0)
-          std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-              injector->task_delay_ms()));
-        chip_.install_faults(&*injector);
-        engine_.executor().install_faults(&*injector);
-      }
-      auto result = engine_.executor().run(fused);
-      std::vector<BitVec> reads = std::move(result.reads);
-      // Extents are batch-relative; shift to the shard's virtual clock.
-      std::vector<FusedExtent> absolute(extents);
-      for (FusedExtent& e : absolute) {
-        e.start_ns += attempt_start;
-        e.end_ns += attempt_start;
-      }
-      finalize_responses(batch, compiled, absolute, reads, outcome.attempts,
-                         batch_seq, outcome);
-    } catch (const std::exception& e) {
-      ok = false;
-      attempt_error = e.what();
-    }
-    if (injector) outcome.faults += injector->counters();
-    if (use_faults) {
-      chip_.install_faults(nullptr);
-      engine_.executor().install_faults(nullptr);
-    }
-    if (ok) {
-      outcome.succeeded = true;
-      break;
-    }
-    outcome.error = attempt_error;
-    if (outcome.buffer) {
-      outcome.buffer->add_event(
-          "serve.batch.attempt_failed",
-          {{"shard", std::to_string(index_)},
-           {"batch", std::to_string(batch_seq)},
-           {"attempt", std::to_string(attempt)},
-           {"error", attempt_error}});
-      // The failed attempt as a span, so a request's retries are visible
-      // on the shard track right before its successful execute window.
-      obs::RichSpan retry;
-      retry.name = "retry " + std::to_string(attempt);
-      retry.cat = "serve.batch";
-      retry.ts_ns = attempt_start;
-      retry.dur_ns = std::max(clock_ns() - attempt_start, 0.0);
-      retry.args = {{"batch", std::to_string(batch_seq)},
-                    {"error", attempt_error}};
-      outcome.buffer->add_span(std::move(retry));
-    }
-  }
+  // Where the current attempt began on the shard's virtual clock. The
+  // clock does not move between attempts, so the next one begins where a
+  // failed one ended.
+  double attempt_start = clock_ns();
+  fault::run_attempts(
+      outcome, res, index_, static_cast<std::uint32_t>(batch_seq), index_,
+      [&](unsigned attempt) {
+        return "injected shard crash (shard " + std::to_string(index_) +
+               ", batch " + std::to_string(batch_seq) + ", attempt " +
+               std::to_string(attempt) + ")";
+      },
+      [&](unsigned, fault::ChipInjector* injector) {
+        const auto install = [this](fault::ChipInjector* faults) {
+          chip_.install_faults(faults);
+          engine_.executor().install_faults(faults);
+        };
+        if (injector != nullptr) install(injector);
+        try {
+          auto result = engine_.executor().run(fused);
+          // Extents are batch-relative; shift to the shard's virtual clock.
+          std::vector<FusedExtent> absolute(extents);
+          for (FusedExtent& e : absolute) {
+            e.start_ns += attempt_start;
+            e.end_ns += attempt_start;
+          }
+          finalize_responses(batch, compiled, absolute, result.reads,
+                             outcome.attempts, batch_seq, outcome);
+        } catch (...) {
+          if (injector != nullptr) install(nullptr);
+          throw;
+        }
+        if (injector != nullptr) install(nullptr);
+      },
+      [](unsigned, double) {},
+      [&](unsigned attempt, const std::string& error) {
+        if (outcome.buffer) {
+          outcome.buffer->add_event(
+              "serve.batch.attempt_failed",
+              {{"shard", std::to_string(index_)},
+               {"batch", std::to_string(batch_seq)},
+               {"attempt", std::to_string(attempt)},
+               {"error", error}});
+          // The failed attempt as a span, so a request's retries are
+          // visible on the shard track right before its successful
+          // execute window.
+          obs::RichSpan retry;
+          retry.name = "retry " + std::to_string(attempt);
+          retry.cat = "serve.batch";
+          retry.ts_ns = attempt_start;
+          retry.dur_ns = std::max(clock_ns() - attempt_start, 0.0);
+          retry.args = {{"batch", std::to_string(batch_seq)},
+                        {"error", error}};
+          outcome.buffer->add_span(std::move(retry));
+        }
+        attempt_start = clock_ns();
+      });
   outcome.end_clock_ns = clock_ns();
   if (outcome.buffer) {
     outcome.buffer->attempts = outcome.attempts;
@@ -356,8 +339,7 @@ BatchOutcome Shard::execute(std::span<const BatchItem> batch,
 }
 
 BatchOutcome Shard::execute_unbatched(std::span<const BatchItem> batch,
-                                      std::uint64_t batch_seq,
-                                      const charz::detail::Resilience& res) {
+                                      std::uint64_t batch_seq) {
   BatchOutcome outcome;
   outcome.start_clock_ns = clock_ns();
   if (obs::enabled())
@@ -373,9 +355,6 @@ BatchOutcome Shard::execute_unbatched(std::span<const BatchItem> batch,
     outcome.end_clock_ns = clock_ns();
     return outcome;
   }
-  // No resilience loop here: the reference path exists to pin what the
-  // serial engine produces, so injected faults simply propagate.
-  (void)res;
   std::vector<BitVec> reads;
   std::vector<FusedExtent> extents(compiled.size());
   for (std::size_t k = 0; k < compiled.size(); ++k) {

@@ -8,10 +8,9 @@
 #include <utility>
 #include <vector>
 
-#include "charz/runner.hpp"
 #include "common/rng.hpp"
 #include "dram/chip.hpp"
-#include "fault/injector.hpp"
+#include "fault/attempts.hpp"
 #include "obs/trace.hpp"
 #include "pud/engine.hpp"
 #include "pud/reliability_map.hpp"
@@ -43,13 +42,9 @@ struct BatchItem {
 /// the batch (one entry per item, in order); on a failed batch only the
 /// compile-rejected entries are meaningful — the rest are rerouted or
 /// failed by the service.
-struct BatchOutcome {
-  bool succeeded = false;
-  unsigned attempts = 0;
-  std::string error;
+struct BatchOutcome : fault::Attempts {
   double start_clock_ns = 0.0;  ///< shard virtual clock at batch start.
   double end_clock_ns = 0.0;
-  fault::FaultCounters faults;
   std::shared_ptr<obs::TaskBuffer> buffer;  ///< sealed by the scheduler.
   std::vector<Response> responses;
   std::vector<bool> rejected;  ///< compile-rejected items (never rerouted).
@@ -57,20 +52,19 @@ struct BatchOutcome {
 
 /// One chip instance serving fused batches: Chip + Engine + compiler plus
 /// the reliability-steered activation-group cache. A shard is confined to
-/// one scheduler task at a time, so its internals take no locks. Retry /
-/// backoff / quarantine mirror `charz::run_chip_task_resilient`: bounded
-/// retries with exponential backoff per batch, injector streams keyed by
-/// (shard, batch, attempt) plan coordinates — never scheduling — and a
-/// shard that exhausts its retries is quarantined by the service.
+/// one scheduler task at a time, so its internals take no locks. Each
+/// batch runs under `fault::run_attempts`, the attempt loop the harness's
+/// chip tasks use too: bounded retries with exponential backoff, injector
+/// streams keyed by (shard, batch, attempt) plan coordinates — never
+/// scheduling — and a shard that exhausts its retries is quarantined by
+/// the service.
 class Shard {
  public:
   struct Config {
     dram::VendorProfile profile;
     std::uint64_t seed = 1;
-    std::size_t group_size = 4;      ///< activation-group rows for APA ops.
-    std::size_t candidate_groups = 4;///< groups scored per (bank, subarray).
-    unsigned steer_trials = 1;       ///< reliability trials per candidate.
-    bool steer = true;               ///< pick groups via pud::ReliabilityMap.
+    std::size_t group_size = 4;  ///< activation-group rows for APA ops.
+    bool steer = true;           ///< pick groups via pud::ReliabilityMap.
   };
 
   Shard(Config config, std::uint32_t index);
@@ -91,7 +85,7 @@ class Shard {
   }
 
   /// The shard's activation group for (bank, subarray): on first use,
-  /// `candidate_groups` deterministic candidates are scored with
+  /// four deterministic candidates are scored with
   /// `pud::ReliabilityMap::best_group` (§8.1's highest-throughput-group
   /// selection) and the winner is cached. Profiling runs real trials on
   /// the chip, so warm all slots *before* comparing execution paths.
@@ -110,15 +104,14 @@ class Shard {
   /// Executes one fused batch under the resilience policy. Never throws:
   /// injected crashes and exhausted retries surface as a failed outcome.
   BatchOutcome execute(std::span<const BatchItem> batch,
-                       std::uint64_t batch_seq,
-                       const charz::detail::Resilience& res);
+                       std::uint64_t batch_seq, const fault::Resilience& res);
 
   /// Reference path for the batching-equivalence property test: the same
   /// requests compiled identically but executed one program at a time,
-  /// unfused, as the serial engine would. Same response surface.
+  /// unfused, as the serial engine would, with no attempt loop (a fault
+  /// simply propagates). Same response surface.
   BatchOutcome execute_unbatched(std::span<const BatchItem> batch,
-                                 std::uint64_t batch_seq,
-                                 const charz::detail::Resilience& res);
+                                 std::uint64_t batch_seq);
 
  private:
   std::vector<CompiledRequest> compile_batch(std::span<const BatchItem> batch,

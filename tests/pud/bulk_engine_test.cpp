@@ -80,6 +80,15 @@ TEST_F(BulkEngineTest, StageValidatesOperands) {
   config.operands.resize(3, BitVec(columns()));
   EXPECT_THROW(bulk_.stage_majx_operands(banks, 1, group, config),
                std::invalid_argument);
+  config.x = 4;  // even.
+  config.operands.resize(4, BitVec(columns()));
+  EXPECT_THROW(bulk_.stage_majx_operands(banks, 1, group, config),
+               std::invalid_argument);
+  const RowGroup small = sample_group(engine_.layout(), 4, rng_);
+  config.x = 5;  // group of 4 < x of 5.
+  config.operands.resize(5, BitVec(columns()));
+  EXPECT_THROW(bulk_.stage_majx_operands(banks, 1, small, config),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "pud/program_builders.hpp"
 #include "pud/row_group.hpp"
 #include "support/same_program.hpp"
+#include "verify/optimizer.hpp"
 
 namespace simra::pud {
 namespace {
@@ -138,6 +139,42 @@ TEST_F(EngineTest, LatencyAccessorsAreOrderedSensibly) {
             engine_.majx_apa_latency().value);
   EXPECT_LT(engine_.frac_latency().value, engine_.rowclone_latency().value);
   EXPECT_GT(engine_.write_row_latency().value, 0.0);
+}
+
+// Each latency accessor is the duration of the program its operation
+// runs, so it equals the executor clock's advance over that operation on
+// every vendor profile. The optimizer is pinned off: it may compact a run.
+TEST(EngineLatency, AccessorsEqualTheExecutedClockAdvance) {
+  verify::set_global_opt_mode(verify::OptMode::kOff);
+  const dram::VendorProfile profiles[] = {
+      dram::VendorProfile::hynix_m(),  dram::VendorProfile::hynix_m_scrambled(),
+      dram::VendorProfile::hynix_m640(), dram::VendorProfile::hynix_a(),
+      dram::VendorProfile::micron_e(), dram::VendorProfile::micron_b(),
+      dram::VendorProfile::samsung()};
+  for (const dram::VendorProfile& profile : profiles) {
+    SCOPED_TRACE(::testing::Message()
+                 << "profile " << (&profile - profiles) << ": "
+                 << profile.manufacturer << " " << profile.die_revision);
+    dram::Chip chip(profile, 5);
+    Engine engine(&chip);
+    Rng rng(6);
+    const RowGroup group = sample_group(engine.layout(), 4, rng);
+    const auto advance = [&engine](auto&& op) {
+      const double before = engine.executor().clock_ns();
+      op();
+      return engine.executor().clock_ns() - before;
+    };
+    const BitVec row(profile.geometry.columns);
+    EXPECT_DOUBLE_EQ(advance([&] { engine.write_row(0, 3, row); }),
+                     engine.write_row_latency().value);
+    EXPECT_DOUBLE_EQ(advance([&] { engine.rowclone(0, 3, 4); }),
+                     engine.rowclone_latency().value);
+    EXPECT_DOUBLE_EQ(advance([&] { engine.frac(0, 3); }),
+                     engine.frac_latency().value);
+    EXPECT_DOUBLE_EQ(advance([&] { engine.multi_row_copy(0, 1, group); }),
+                     engine.multi_row_copy_latency().value);
+  }
+  verify::set_global_opt_mode(std::nullopt);
 }
 
 TEST_F(EngineTest, AmbitStyleAndOr) {

@@ -127,7 +127,7 @@ class ServeProperty : public ::testing::Test {
   // Strict verification: the fused programs must clear the timing gate
   // with nothing but the declared (intended) violations.
   ScopedEnv strict_{"SIMRA_VERIFY", "strict"};
-  charz::detail::Resilience clean_{};
+  fault::Resilience clean_{};
 };
 
 TEST_F(ServeProperty, FusedBatchesMatchUnbatchedExecutionExactly) {
@@ -144,7 +144,7 @@ TEST_F(ServeProperty, FusedBatchesMatchUnbatchedExecutionExactly) {
     const std::size_t count = std::min(kBatch, stream.size() - begin);
     const std::span<const BatchItem> batch(stream.data() + begin, count);
     const BatchOutcome f = fused.execute(batch, seq, clean_);
-    const BatchOutcome s = serial.execute_unbatched(batch, seq, clean_);
+    const BatchOutcome s = serial.execute_unbatched(batch, seq);
     expect_equal_responses(f, s);
   }
   expect_equal_chip_state(fused, serial, spec);
@@ -203,7 +203,7 @@ TEST_F(ServeProperty, CompileRejectedRequestsDoNotPerturbTheBatch) {
   stream[3].request.operands.clear();
 
   const BatchOutcome f = fused.execute(stream, 0, clean_);
-  const BatchOutcome s = serial.execute_unbatched(stream, 0, clean_);
+  const BatchOutcome s = serial.execute_unbatched(stream, 0);
   ASSERT_TRUE(f.rejected[3]);
   EXPECT_EQ(f.responses[3].status, Status::kRejected);
   EXPECT_EQ(f.responses[3].error, "rowclone source equals destination");
